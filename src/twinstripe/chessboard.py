@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model_core import InvariantError, NonConvergenceError, SawtoothProfile
+from .model_core import InvariantError, SawtoothProfile
 from .one_dim import C0
 
 __all__ = [
@@ -258,10 +258,14 @@ def _screened_many(cells: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     return -(total + 2.0 * cross)
 
 
+def _check_alpha(alpha: float) -> None:
+    if not (alpha > 0.0 and math.isfinite(alpha)):
+        raise InvariantError("alpha must be positive and finite")
+
+
 def screened_energy(w, alpha: float) -> float:
     """E_alpha(w) = -int int w w' exp(-alpha |y-y'|) over w's support."""
-    if alpha <= 0.0:
-        raise InvariantError("alpha must be positive")
+    _check_alpha(alpha)
     if isinstance(w, Segment):
         cells = w.cells()
     elif isinstance(w, PiecewiseLinear):
@@ -290,72 +294,18 @@ def _periodic_cross_many(cells: np.ndarray, period: float, alphas: np.ndarray) -
     return c0 + 2.0 * wl * wr / one_minus
 
 
-def _window_average(seg: Segment, alpha: float, copies: int) -> float:
-    """E_alpha of `copies` alternately-reflected copies, per unit length.
-
-    copies must be even so the window holds a whole number of periods.
-    The double sum over period pairs regroups exactly into closed form,
-    so this equals the energy of the explicitly juxtaposed chain.
-    """
-    if copies < 2 or copies % 2 != 0:
-        raise InvariantError("copies must be an even integer >= 2")
-    n_per = copies // 2
-    period = juxtapose((seg, seg.reflect()))
-    P = period.length
-    al = np.array([float(alpha)])
-    c0 = float(-_screened_many(period.cells, al)[0])
-    one_minus = -math.expm1(-alpha * P)
-    w = (_periodic_cross_many(period.cells, P, al)[0] - c0) * one_minus / 2.0
-    # sum_{d=1}^{N-1} (N-d) rho^(d-1), exactly
-    N = n_per
-    rho_n = math.exp(-alpha * P * N)
-    rho_nm1 = math.exp(-alpha * P * (N - 1))
-    s1 = (1.0 - rho_nm1) / one_minus
-    s2 = (1.0 - N * rho_nm1 + (N - 1) * rho_n) / one_minus**2
-    total = N * c0 + 2.0 * w * (N * s1 - s2)
-    return -total / (N * P)
-
-
-def e_infinity(seg: Segment, alpha: float, doublings: int = 12) -> float:
+def e_infinity(seg: Segment, alpha: float) -> float:
     """Energy per unit length of the infinitely periodized segment.
 
-    Evaluates the window average at 2^m copies for m = 1..doublings and
-    Richardson-extrapolates in 1/window; after extrapolation only
-    exponentially small boundary terms remain, so successive
-    extrapolants must agree to 1e-8 relative or the limit is reported
-    as non-convergent.
+    The segment glued to its reflection is one period of length P.  The
+    screened energy of N alternating periods is -N times the periodic
+    cross energy of one period up to a term bounded in N, so the density
+    is minus that cross energy over P, in closed form for every alpha.
     """
-    if alpha <= 0.0:
-        raise InvariantError("alpha must be positive")
-    if doublings < 4:
-        raise InvariantError("need at least 4 doublings")
+    _check_alpha(alpha)
     period = juxtapose((seg, seg.reflect()))
     P = period.length
-    scale = abs(screened_energy(period, alpha)) / P + 1e-300
-    prev_v = None
-    prev_ext = None
-    ext = None
-    converged = False
-    for m in range(1, doublings + 1):
-        v = _window_average(seg, alpha, 2**m)
-        if prev_v is not None:
-            ext = 2.0 * v - prev_v
-            if prev_ext is not None:
-                diff = abs(ext - prev_ext)
-                tol = max(abs(ext), scale)
-                if diff <= 1e-8 * tol:
-                    converged = True
-                # settled well past the reporting threshold: stop early
-                if diff <= 1e-12 * tol and m >= 4:
-                    prev_ext = ext
-                    break
-            prev_ext = ext
-        prev_v = v
-    if not converged:
-        raise NonConvergenceError(
-            f"periodized energy density did not settle after {doublings} doublings"
-        )
-    return float(ext)
+    return float(-_periodic_cross_many(period.cells, P, np.array([float(alpha)]))[0] / P)
 
 
 @dataclass(frozen=True)
@@ -407,8 +357,7 @@ def check_rp_inequality(minus, plus, alpha: float) -> RPReport:
     two symmetrized sequences (reflected F+, F+) and (F-, reflected F-).
     Either side may be empty, in which case its symmetrized term is 0.
     """
-    if alpha <= 0.0:
-        raise InvariantError("alpha must be positive")
+    _check_alpha(alpha)
     minus_items = _as_items(minus)
     plus_items = _as_items(plus)
     if not minus_items and not plus_items:
@@ -427,13 +376,13 @@ def check_rp_inequality(minus, plus, alpha: float) -> RPReport:
     return RPReport(alpha=float(alpha), lhs=lhs, rhs=rhs, slack=slack, ok=slack >= -1e-9)
 
 
-def check_chessboard_bound(seq, alpha: float, doublings: int = 12) -> ChessboardReport:
+def check_chessboard_bound(seq, alpha: float) -> ChessboardReport:
     """Energy of a juxtaposed sequence vs. its periodized lower bound."""
     items = _as_items(seq)
     if not items:
         raise InvariantError("sequence must be nonempty")
     lhs = screened_energy(juxtapose(items), alpha)
-    rhs = math.fsum(seg.length * e_infinity(seg, alpha, doublings) for seg in items)
+    rhs = math.fsum(seg.length * e_infinity(seg, alpha) for seg in items)
     slack = lhs - rhs
     scale = max(abs(lhs), 1e-12)
     return ChessboardReport(
@@ -469,8 +418,8 @@ def screened_mismatch(profile: SawtoothProfile, alphas) -> np.ndarray:
     evaluated as 4/alpha * ||u||^2 - 2 * (periodic cross energy).
     """
     al = np.atleast_1d(np.asarray(alphas, dtype=float))
-    if np.any(al <= 0.0):
-        raise InvariantError("alpha must be positive")
+    if not np.all((al > 0.0) & np.isfinite(al)):
+        raise InvariantError("alpha must be positive and finite")
     prof = _anchor_at_corner(profile)
     cells = _profile_cells(prof)
     u2 = _cells_l2(cells)
@@ -623,7 +572,7 @@ def _family_stats(slacks) -> dict:
     }
 
 
-def verify_suite(trials: int = 100, seed: int = 0, alphas=(0.1, 1.0, 10.0), doublings: int = 12) -> dict:
+def verify_suite(trials: int = 100, seed: int = 0, alphas=(0.1, 1.0, 10.0)) -> dict:
     """Randomized verification of the three inequality families.
 
     Runs `trials` independent cases per family (reflection positivity,
@@ -632,6 +581,11 @@ def verify_suite(trials: int = 100, seed: int = 0, alphas=(0.1, 1.0, 10.0), doub
     """
     from .model_core import random_profile
 
+    if not isinstance(trials, (int, np.integer)) or trials < 1:
+        raise InvariantError(f"trials: must be a positive integer, got {trials!r}")
+    alphas = tuple(float(a) for a in alphas)
+    if not alphas or not all(a > 0.0 and math.isfinite(a) for a in alphas):
+        raise InvariantError(f"alphas: must be positive and finite, got {alphas!r}")
     rng = np.random.default_rng(seed)
     rp_slacks, cb_slacks, master_slacks = [], [], []
     for _ in range(trials):
@@ -642,7 +596,7 @@ def verify_suite(trials: int = 100, seed: int = 0, alphas=(0.1, 1.0, 10.0), doub
     for _ in range(trials):
         seq = tuple(random_segment(rng) for _ in range(int(rng.integers(2, 7))))
         for alpha in alphas:
-            cb_slacks.append(check_chessboard_bound(seq, alpha, doublings).slack)
+            cb_slacks.append(check_chessboard_bound(seq, alpha).slack)
     for _ in range(trials):
         prof = random_profile(rng, 1.0)
         rep = check_master_inequality(prof, alphas=alphas, integrate=False)

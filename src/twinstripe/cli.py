@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -88,25 +87,6 @@ def _float_list(text: str, field: str) -> tuple[float, ...]:
         raise InvariantError(f"{field}: {exc}") from exc
 
 
-def _resolve_threads(value: int | None) -> int | None:
-    if value is not None:
-        if value < 1:
-            raise InvariantError("threads: must be a positive integer")
-        return value
-    env = os.environ.get("TWINSTRIPE_THREADS")
-    if env is None or env == "":
-        return None
-    try:
-        parsed = int(env)
-    except ValueError as exc:
-        raise InvariantError(
-            f"threads: TWINSTRIPE_THREADS must be an integer, got {env!r}"
-        ) from exc
-    if parsed < 1:
-        raise InvariantError("threads: TWINSTRIPE_THREADS must be positive")
-    return parsed
-
-
 # -- subcommand handlers ----------------------------------------------------------
 
 
@@ -134,7 +114,6 @@ def _cmd_relax(args: argparse.Namespace) -> int:
         max_iters=args.max_iters,
         tol_energy=args.tol,
         topology_moves=args.topology,
-        seed=args.seed,
     )
     history: list[float] = []
     final = relax(config, opts, history=history, cutoff=args.cutoff)
@@ -175,16 +154,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     template = ModelParams(
         grid.beta_values[0], grid.epsilon_values[0], args.length, args.height
     )
-    opts = RelaxOptions(
-        max_iters=args.relax_iters, tol_energy=args.relax_tol, seed=args.seed
-    )
-    result = phase_sweep(
-        grid,
-        template,
-        levels_max=args.levels_max,
-        threads=_resolve_threads(args.threads),
-        relax_opts=opts,
-    )
+    opts = RelaxOptions(max_iters=args.relax_iters, tol_energy=args.relax_tol)
+    result = phase_sweep(grid, template, levels_max=args.levels_max, relax_opts=opts)
     if args.format == "csv":
         _write_text(result.to_csv(), args.output)
     else:
@@ -197,7 +168,6 @@ def _cmd_verify_chessboard(args: argparse.Namespace) -> int:
         trials=args.trials,
         seed=args.seed,
         alphas=_float_list(args.alphas, "alphas"),
-        doublings=args.doublings,
     )
     _emit_json(report, args.output)
     return 0
@@ -259,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, metavar="FILE", help="starting configuration JSON")
     p.add_argument("--max-iters", type=int, default=200, help="sweep budget")
     p.add_argument("--tol", type=float, default=1e-10, help="stop when a sweep improves less than this")
-    p.add_argument("--seed", type=int, default=0, help="recorded with the run for reproducibility")
     p.add_argument(
         "--topology",
         action="store_true",
@@ -293,13 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels-max", type=int, default=8, help="deepest branching tried")
     p.add_argument("--relax-iters", type=int, default=30, help="sweep budget for the relaxed column")
     p.add_argument("--relax-tol", type=float, default=1e-10, help="descent stopping tolerance")
-    p.add_argument("--seed", type=int, default=0, help="recorded with the run for reproducibility")
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker threads (default: TWINSTRIPE_THREADS, then all cores)",
-    )
     p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
     _add_output(p)
     p.set_defaults(func=_cmd_sweep)
@@ -310,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100, help="random sequences per family")
     p.add_argument("--seed", type=int, default=0, help="random seed")
     p.add_argument("--alphas", default="0.1,1,10", help="comma separated screening rates")
-    p.add_argument("--doublings", type=int, default=12, help="period doublings in the limit check")
     _add_output(p)
     p.set_defaults(func=_cmd_verify_chessboard)
 

@@ -26,8 +26,6 @@ and slopes stay +-1 because only corner ordinates ever change.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,12 +64,15 @@ MAX_COARSE_COUNT = 512
 
 @dataclass(frozen=True)
 class RelaxOptions:
-    """Knobs for the coordinate-descent loop."""
+    """Sweep budget, stopping tolerance and move set of ``relax``.
+
+    The descent visits stations and moves in a fixed order, so it has no
+    random seed: the same start and options give the same result.
+    """
 
     max_iters: int = 200
     tol_energy: float = 1e-10
     topology_moves: bool = False
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 1:
@@ -499,23 +500,25 @@ def relax(
             return True
         return False
 
-    def pair_move(j: int, i: int) -> None:
-        # probe both directions, then jump to the parabolic vertex
-        prof = state.profiles[j]
+    def line_search(prof: SawtoothProfile, lo: float, hi: float, delta_at) -> list[float]:
+        # probe both directions, then try the parabolic vertex first
         s = prof.period / (32.0 * len(prof.corners))
-        lo, hi = _shift_range(prof, i)
-        probes: list[tuple[float, float]] = []
-        for d in (s, -s):
-            if lo < d < hi:
-                probes.append((d, state.delta_replace(j, _shift_pair(prof, i, d))))
+        probes = [(d, delta_at(d)) for d in (s, -s) if lo < d < hi]
         cands = [d for d, val in probes if val < -floor]
         if len(probes) == 2:
             dp, dm = probes[0][1], probes[1][1]
             a, b = (dp + dm) / (2.0 * s * s), (dp - dm) / (2.0 * s)
             if a > 0.0 and abs(b) > 0.0:
-                vertex = float(np.clip(-b / (2.0 * a), lo * 0.999, hi * 0.999))
-                cands.insert(0, vertex)
-        for d in cands:
+                cands.insert(0, float(np.clip(-b / (2.0 * a), lo * 0.999, hi * 0.999)))
+        return cands
+
+    def pair_move(j: int, i: int) -> None:
+        prof = state.profiles[j]
+        lo, hi = _shift_range(prof, i)
+        steps = line_search(
+            prof, lo, hi, lambda d: state.delta_replace(j, _shift_pair(prof, i, d))
+        )
+        for d in steps:
             if try_move(j, _shift_pair(state.profiles[j], i, d)):
                 return
 
@@ -547,22 +550,16 @@ def relax(
 
     def column_move(i: int) -> None:
         nonlocal accepted
-        prof = state.profiles[0]
-        s = prof.period / (32.0 * len(prof.corners))
         ranges = [_shift_range(p, i) for p in state.profiles]
         lo = max(r[0] for r in ranges)
         hi = min(r[1] for r in ranges)
-        probes: list[tuple[float, float]] = []
-        for d in (s, -s):
-            if lo < d < hi:
-                probes.append((d, column_delta([_shift_pair(p, i, d) for p in state.profiles])))
-        cands = [d for d, val in probes if val < -floor]
-        if len(probes) == 2:
-            dp, dm = probes[0][1], probes[1][1]
-            a, b = (dp + dm) / (2.0 * s * s), (dp - dm) / (2.0 * s)
-            if a > 0.0 and abs(b) > 0.0:
-                cands.insert(0, float(np.clip(-b / (2.0 * a), lo * 0.999, hi * 0.999)))
-        for d in cands:
+        steps = line_search(
+            state.profiles[0],
+            lo,
+            hi,
+            lambda d: column_delta([_shift_pair(p, i, d) for p in state.profiles]),
+        )
+        for d in steps:
             if not (lo < d < hi):
                 continue
             shifted = [_shift_pair(p, i, d) for p in state.profiles]
@@ -796,31 +793,24 @@ def phase_sweep(
     grid: SweepGrid,
     template: ModelParams,
     levels_max: int = 8,
-    threads: int | None = None,
     relax_opts: RelaxOptions | None = None,
 ) -> SweepResult:
-    """Energy comparison over the grid, parallel across grid points.
+    """Energy comparison over the grid, one grid point after another.
 
-    The branched column reports the best state with at least one
+    Points run in grid order in the calling thread: the work holds the
+    interpreter lock, so worker threads would only add overhead.  The
+    branched column reports the best state with at least one
     doubling band, so the striped and branched columns stay distinct
     candidates; exact ties are reported as "degenerate".
     """
     if levels_max < 0:
         raise InvariantError("levels_max must be nonnegative")
     opts = relax_opts if relax_opts is not None else RelaxOptions(max_iters=30)
-    points = [(b, e) for b in grid.beta_values for e in grid.epsilon_values]
-    workers = threads if threads else int(os.environ.get("TWINSTRIPE_THREADS", 0)) or (
-        os.cpu_count() or 1
-    )
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        rows = list(
-            pool.map(
-                lambda be: _sweep_point(
-                    be[0], be[1], template, grid.compare, levels_max, opts
-                ),
-                points,
-            )
-        )
+    rows = [
+        _sweep_point(b, e, template, grid.compare, levels_max, opts)
+        for b in grid.beta_values
+        for e in grid.epsilon_values
+    ]
     h, L = template.height_h, template.length_L
     area = h * L
     c_s = 0.0

@@ -2,9 +2,10 @@
 
 import json
 
+from twinstripe import cli
 from twinstripe.cli import main
 from twinstripe.energy import total_energy
-from twinstripe.model_core import Configuration, ModelParams
+from twinstripe.model_core import Configuration, ModelParams, NonConvergenceError
 from twinstripe.one_dim import optimal_even_m
 from twinstripe.optimize import striped_candidate
 
@@ -120,54 +121,18 @@ def test_branched_state_out_round_trips(tmp_path, capsys):
 
 
 def test_sweep_csv_header_and_thread_determinism(tmp_path, capsys):
-    args = [
-        "sweep",
-        "--betas",
-        "1e-3,1.0",
-        "--epsilons",
-        "1e-3",
-        "--levels-max",
-        "3",
-        "--seed",
-        "5",
-    ]
+    args = ["sweep", "--betas", "1e-3,1.0", "--epsilons", "1e-3", "--levels-max", "3"]
     one = tmp_path / "one.csv"
     two = tmp_path / "two.csv"
-    code, _, _ = run_cli(capsys, *args, "--threads", "1", "--output", str(one))
+    code, _, _ = run_cli(capsys, *args, "--output", str(one))
     assert code == 0
-    code, _, _ = run_cli(capsys, *args, "--threads", "2", "--output", str(two))
+    code, _, _ = run_cli(capsys, *args, "--output", str(two))
     assert code == 0
     assert one.read_bytes() == two.read_bytes()
     lines = one.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "beta,epsilon,sigma,E_striped,E_branched,E_relaxed,winner,m_star"
     assert len(lines) == 3
     assert lines[1].split(",")[6] in {"striped", "branched", "degenerate"}
-
-
-def test_sweep_threads_env_fallback(tmp_path, capsys, monkeypatch):
-    out_file = tmp_path / "env.csv"
-    monkeypatch.setenv("TWINSTRIPE_THREADS", "2")
-    code, _, _ = run_cli(
-        capsys,
-        "sweep",
-        "--betas",
-        "1e-3",
-        "--epsilons",
-        "1e-3",
-        "--levels-max",
-        "2",
-        "--output",
-        str(out_file),
-    )
-    assert code == 0
-    assert out_file.read_text(encoding="utf-8").count("\n") == 2
-
-    monkeypatch.setenv("TWINSTRIPE_THREADS", "many")
-    code, _, err = run_cli(
-        capsys, "sweep", "--betas", "1e-3", "--epsilons", "1e-3"
-    )
-    assert code == 1
-    assert "threads" in err
 
 
 def test_sweep_json_format_reparses(capsys):
@@ -202,18 +167,32 @@ def test_verify_chessboard_report_slacks(capsys):
         assert payload[family]["min_slack"] >= -1e-9
 
 
-def test_verify_chessboard_nonconvergence_exits_two(capsys):
-    code, _, err = run_cli(
-        capsys,
-        "verify-chessboard",
-        "--trials",
-        "1",
-        "--seed",
-        "0",
-        "--doublings",
-        "4",
+def test_verify_chessboard_rejects_bad_alphas_and_trials(capsys):
+    # screening lengths far beyond the segments are fine in closed form
+    code, out, _ = run_cli(
+        capsys, "verify-chessboard", "--trials", "3", "--alphas", "0.01"
     )
-    assert code == 2
+    assert code == 0
+    assert json.loads(out)["chessboard"]["min_slack"] >= -1e-9
+    for bad in ("nan", "1,inf", "0"):
+        code, out, err = run_cli(
+            capsys, "verify-chessboard", "--trials", "1", "--alphas", bad
+        )
+        assert code == 1 and not out
+        assert "alphas" in err
+    for bad in ("0", "-2"):
+        code, out, err = run_cli(capsys, "verify-chessboard", "--trials", bad)
+        assert code == 1 and not out
+        assert "trials" in err
+
+
+def test_verify_chessboard_nonconvergence_exits_two(capsys, monkeypatch):
+    def stalled(**kwargs):
+        raise NonConvergenceError("stalled")
+
+    monkeypatch.setattr(cli, "verify_suite", stalled)
+    code, out, err = run_cli(capsys, "verify-chessboard", "--trials", "1")
+    assert code == 2 and not out
     assert "converge" in err
 
 

@@ -181,7 +181,7 @@ def test_relax_is_deterministic():
 def test_phase_sweep_table_and_csv():
     grid = op.SweepGrid((1e-3, 1.0), (1e-3,))
     template = ModelParams(1.0, 1.0, 1.0, 1.0)
-    result = op.phase_sweep(grid, template, levels_max=4, threads=2)
+    result = op.phase_sweep(grid, template, levels_max=4)
     assert len(result.rows) == 2
     for r in result.rows:
         assert r.sigma == pytest.approx(r.beta * r.epsilon ** (-1.0 / 3.0))
@@ -194,7 +194,7 @@ def test_phase_sweep_table_and_csv():
     assert result.c_striped > 0.0 and result.c_branched > 0.0
 
     csv = result.to_csv()
-    again = op.phase_sweep(grid, template, levels_max=4, threads=1).to_csv()
+    again = op.phase_sweep(grid, template, levels_max=4).to_csv()
     assert csv == again
     lines = csv.strip().split("\n")
     assert lines[0] == "beta,epsilon,sigma,E_striped,E_branched,E_relaxed,winner,m_star"
@@ -207,7 +207,7 @@ def test_phase_sweep_with_relaxed_column():
     grid = op.SweepGrid((1e-3,), (1e-4,), compare=("striped", "branched", "relaxed"))
     template = ModelParams(1.0, 1.0, 1.0, 1.0)
     result = op.phase_sweep(grid, template, levels_max=3,
-                            relax_opts=op.RelaxOptions(max_iters=3), threads=1)
+                            relax_opts=op.RelaxOptions(max_iters=3))
     row = result.rows[0]
     assert row.e_relaxed is not None
     assert row.e_relaxed <= row.e_striped * (1.0 + 1e-6)
