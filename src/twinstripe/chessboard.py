@@ -226,12 +226,9 @@ def _cell_tables(cells: np.ndarray, alphas: np.ndarray):
     xs = np.minimum(x, 0.5)
     small = x < 0.5
     f2 = np.where(small, xs * xs * np.polyval(_P2_DESC, xs), x - E1)
-    f4 = np.where(
-        small,
-        xs**4 * np.polyval(_P4_DESC, xs),
-        E1 - x * ex - 0.5 * x * x + x**3 / 3.0,
-    )
-    ttail = np.where(small, 0.5 * xs * xs - xs**3 / 3.0 + xs**4 * np.polyval(_P4_DESC, xs), E1 - x * ex)
+    f4s = xs**4 * np.polyval(_P4_DESC, xs)
+    f4 = np.where(small, f4s, E1 - x * ex - 0.5 * x * x + x**3 / 3.0)
+    ttail = np.where(small, 0.5 * xs * xs - xs**3 / 3.0 + f4s, E1 - x * ex)
     inva = 1.0 / al
     R = va * E1 * inva + q * ttail * inva**2
     L = vb * E1 * inva - q * ttail * inva**2
@@ -239,14 +236,18 @@ def _cell_tables(cells: np.ndarray, alphas: np.ndarray):
     return L, R, diag
 
 
-def _screened_many(cells: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    """Screened energies (one per alpha) of a sorted cell collection."""
+def _screened_many(cells: np.ndarray, alphas: np.ndarray, tables=None) -> np.ndarray:
+    """Screened energies (one per alpha) of a cell collection; tables, if
+    given, are _cell_tables(cells, alphas) with the cells in given order."""
     order = np.argsort(cells[:, 0], kind="stable")
     cells = cells[order]
     a, b = cells[:, 0], cells[:, 1]
     if np.any(a[1:] - b[:-1] < -_OVERLAP_TOL):
         raise InvariantError("cells must not overlap")
-    L, R, diag = _cell_tables(cells, alphas)
+    if tables is None:
+        L, R, diag = _cell_tables(cells, alphas)
+    else:
+        L, R, diag = (t[:, order] for t in tables)
     total = diag.sum(axis=1)
     cross = np.zeros_like(alphas)
     carry = np.zeros_like(alphas)
@@ -286,8 +287,9 @@ def _periodic_cross_many(cells: np.ndarray, period: float, alphas: np.ndarray) -
     a, b = cells[:, 0], cells[:, 1]
     if a.min() < -_OVERLAP_TOL or b.max() > period + _OVERLAP_TOL:
         raise InvariantError("cells must lie inside one period")
-    c0 = -_screened_many(cells, alphas)
-    L, R, _ = _cell_tables(cells, alphas)
+    tables = _cell_tables(cells, alphas)
+    c0 = -_screened_many(cells, alphas, tables)
+    L, R, _ = tables
     wl = np.sum(L * np.exp(-np.outer(alphas, np.maximum(period - b, 0.0))), axis=1)
     wr = np.sum(R * np.exp(-np.outer(alphas, np.maximum(a, 0.0))), axis=1)
     one_minus = -np.expm1(-alphas * period)

@@ -68,9 +68,10 @@ def _load_configuration(path: str) -> Configuration:
     except OSError as exc:
         raise InvariantError(f"config: cannot read {path!r}: {exc}") from exc
     try:
-        return Configuration.loads(text)
-    except json.JSONDecodeError as exc:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:
         raise InvariantError(f"config: {path!r} is not valid JSON: {exc}") from exc
+    return Configuration.from_json(data)
 
 
 def _params_from_args(args: argparse.Namespace) -> ModelParams:

@@ -31,6 +31,7 @@ from .model_core import (
     InvariantError,
     NonConvergenceError,
     SawtoothProfile,
+    _window_cuts,
     fourier_coefficients,
     l2_distance,
 )
@@ -151,17 +152,11 @@ def h_half_sq_realspace(
 
 def l2_norm_sq(profile: SawtoothProfile, window: tuple[float, float] | None = None) -> float:
     """Exact squared L2 norm of the profile over the window."""
-    from .model_core import _window_pieces  # shared window reduction
-
-    ys, _ = profile.nodes()
     total = 0.0
-    for lo, hi in _window_pieces(profile.period, window):
-        cuts = np.unique(np.concatenate((ys, [lo, hi])))
-        cuts = cuts[(cuts >= lo) & (cuts <= hi)]
-        va = np.asarray(profile.evaluate(cuts[:-1]))
-        vb = np.asarray(profile.evaluate(cuts[1:]))
-        seg = np.diff(cuts)
-        total += float(np.sum(seg * (va * va + va * vb + vb * vb) / 3.0))
+    for cuts in _window_cuts(profile.nodes()[0], profile.period, window):
+        v = profile.evaluate(cuts)
+        va, vb = v[:-1], v[1:]
+        total += float(np.sum(np.diff(cuts) * (va * va + va * vb + vb * vb) / 3.0))
     return total
 
 

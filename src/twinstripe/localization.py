@@ -39,6 +39,7 @@ from .model_core import (
     InvariantError,
     ModelParams,
     SawtoothProfile,
+    _window_cuts,
     fourier_coefficients,
     l2_distance,
 )
@@ -310,16 +311,10 @@ def build_partition(u1: SawtoothProfile) -> IntervalPartition:
 
 def _window_integral(profile: SawtoothProfile, lo: float, hi: float) -> float:
     """Exact integral of the profile over [lo, hi] (any real endpoints)."""
-    from .model_core import _window_pieces
-
-    ys, _ = profile.nodes()
     total = 0.0
-    for a, b in _window_pieces(profile.period, (lo, hi)):
-        cuts = np.unique(np.concatenate((ys, [a, b])))
-        cuts = cuts[(cuts >= a) & (cuts <= b)]
-        va = np.asarray(profile.evaluate(cuts[:-1]))
-        vb = np.asarray(profile.evaluate(cuts[1:]))
-        total += float(np.sum(np.diff(cuts) * (va + vb) / 2.0))
+    for cuts in _window_cuts(profile.nodes()[0], profile.period, (lo, hi)):
+        v = profile.evaluate(cuts)
+        total += float(np.sum(np.diff(cuts) * (v[:-1] + v[1:]) / 2.0))
     return total
 
 

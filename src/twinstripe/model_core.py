@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -52,6 +53,40 @@ class NonConvergenceError(RuntimeError):
     """A numerical routine could not meet its own accuracy target."""
 
 
+# -- JSON boundary: type and finiteness checks that name the field -------------
+
+
+def _json_field(data, key: str, where: str):
+    if not isinstance(data, dict):
+        raise InvariantError(f"{where} JSON must be an object, got {type(data).__name__}")
+    if key not in data:
+        raise InvariantError(f"{where} JSON missing field {key!r}")
+    return data[key]
+
+
+def _json_number(value, name: str) -> float:
+    """A finite JSON number; booleans and strings are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvariantError(f"{name} must be a number, got {type(value).__name__}")
+    try:
+        v = float(value)
+    except OverflowError:
+        v = math.inf
+    if not math.isfinite(v):
+        raise InvariantError(f"{name} must be finite, got {value!r}")
+    return v
+
+
+def _json_list(value, name: str) -> list:
+    if not isinstance(value, list):
+        raise InvariantError(f"{name} must be a list, got {type(value).__name__}")
+    return value
+
+
+def _json_numbers(value, name: str) -> tuple[float, ...]:
+    return tuple(_json_number(v, f"{name}[{i}]") for i, v in enumerate(_json_list(value, name)))
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Problem constants: interface weight beta, surface weight epsilon,
@@ -82,15 +117,8 @@ class ModelParams:
 
     @classmethod
     def from_json(cls, data: dict) -> "ModelParams":
-        try:
-            return cls(
-                beta=float(data["beta"]),
-                epsilon=float(data["epsilon"]),
-                length_L=float(data["length_L"]),
-                height_h=float(data["height_h"]),
-            )
-        except KeyError as exc:
-            raise InvariantError(f"params JSON missing field {exc.args[0]!r}") from exc
+        names = ("beta", "epsilon", "length_L", "height_h")
+        return cls(*(_json_number(_json_field(data, n, "params"), f"params.{n}") for n in names))
 
 
 def _merge_degenerate(corners: list[float], initial_slope: int, period: float) -> tuple[list[float], int]:
@@ -131,6 +159,10 @@ class SawtoothProfile:
     offset: value u(0)
     initial_slope: slope (+1 or -1) of the segment that starts at y = 0
     corners: strictly increasing ordinates in [0, period), even count
+
+    The corner array and segment lengths and slopes are computed on
+    construction, corner values and nodes on first use; all are kept as
+    read-only arrays and returned without copying.
     """
 
     period: float
@@ -161,42 +193,47 @@ class SawtoothProfile:
         object.__setattr__(self, "initial_slope", slope)
         object.__setattr__(self, "period", float(h))
         object.__setattr__(self, "offset", float(self.offset))
+        # segment j runs from corner j to corner j+1, cyclically
+        c = np.asarray(cs)
+        gaps = np.diff(np.append(c, c[0] + h))
+        slopes = (slope if cs[0] == 0.0 else -slope) * (-1.0) ** np.arange(len(cs))
         # rising and falling segments must each cover half the period
-        gaps = self._gaps()
-        signs = self._segment_slopes()
-        defect = float(np.dot(signs, gaps))
+        defect = float(np.dot(slopes, gaps))
         if abs(defect) > BALANCE_TOL * h:
             raise InvariantError(
                 f"profile does not close periodically: signed slope integral {defect:.3e}"
             )
+        for name, arr in (("_c", c), ("_gap", gaps), ("_s", slopes)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
-    # -- internal geometry -------------------------------------------------
+    @cached_property
+    def _vals(self) -> np.ndarray:
+        vals = np.empty(len(self._c))
+        vals[0] = self.offset + self.initial_slope * self._c[0]
+        vals[1:] = vals[0] + np.cumsum(self._s[:-1] * self._gap[:-1])
+        vals.flags.writeable = False
+        return vals
+
+    @cached_property
+    def _nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        lead = int(self._c[0] > 0.0)  # a node at 0 ahead of the first corner
+        ys = np.concatenate(([0.0] * lead, self._c, [self.period]))
+        vs = np.concatenate(([self.offset] * lead, self._vals, [self.offset]))
+        ys.flags.writeable = vs.flags.writeable = False
+        return ys, vs
 
     def _gaps(self) -> np.ndarray:
         """Segment lengths between consecutive corners, cyclic."""
-        c = np.asarray(self.corners)
-        return np.diff(np.append(c, c[0] + self.period))
-
-    def _segment_slopes(self) -> np.ndarray:
-        """Slope on segment j = (corners[j], corners[j+1])."""
-        m = len(self.corners)
-        first = self.initial_slope if self.corners[0] == 0.0 else -self.initial_slope
-        return first * (-1.0) ** np.arange(m)
+        return self._gap
 
     def slope_after_corners(self) -> np.ndarray:
-        """Slope immediately after each corner."""
-        return self._segment_slopes()
+        """Slope immediately after each corner (read-only)."""
+        return self._s
 
     def corner_values(self) -> np.ndarray:
-        """u at each corner."""
-        c = np.asarray(self.corners)
-        s = self._segment_slopes()
-        v0 = self.offset + self.initial_slope * c[0]  # value at first corner
-        vals = np.empty(len(c))
-        vals[0] = v0
-        if len(c) > 1:
-            vals[1:] = v0 + np.cumsum(s[:-1] * np.diff(c))
-        return vals
+        """u at each corner (read-only)."""
+        return self._vals
 
     # -- public operations --------------------------------------------------
 
@@ -205,9 +242,7 @@ class SawtoothProfile:
         yy = np.asarray(y, dtype=float)
         scalar = yy.ndim == 0
         yr = np.mod(yy, self.period)
-        c = np.asarray(self.corners)
-        vals = self.corner_values()
-        s = self._segment_slopes()
+        c, vals, s = self._c, self._vals, self._s
         idx = np.searchsorted(c, yr, side="right") - 1
         out = np.empty_like(yr)
         before = idx < 0  # y in [0, corners[0]): segment wrapping through 0
@@ -220,16 +255,12 @@ class SawtoothProfile:
     def nodes(self) -> tuple[np.ndarray, np.ndarray]:
         """Breakpoints 0 = y_0 < ... < y_n = period and values there.
 
-        Between consecutive nodes the profile is linear.  Used by exact
-        piecewise integration routines.
+        The values are [offset,] corner values..., offset (the leading
+        offset only when no corner sits at 0).  Between consecutive
+        nodes the profile is linear.  Both arrays are built once, on
+        first use, and are read-only.
         """
-        c = np.asarray(self.corners)
-        ys = c if c[0] == 0.0 else np.concatenate(([0.0], c))
-        ys = np.concatenate((ys, [self.period]))
-        vs = self.evaluate(np.minimum(ys, np.nextafter(self.period, 0.0)))
-        vs = np.asarray(vs, dtype=float)
-        vs[-1] = self.evaluate(0.0)  # exact closure at the wrap node
-        return ys, vs
+        return self._nodes
 
     def interface_count(self) -> int:
         return len(self.corners)
@@ -265,15 +296,14 @@ class SawtoothProfile:
 
     @classmethod
     def from_json(cls, data: dict) -> "SawtoothProfile":
-        try:
-            return cls(
-                period=float(data["period"]),
-                offset=float(data["offset"]),
-                initial_slope=int(data["initial_slope"]),
-                corners=tuple(float(c) for c in data["corners"]),
-            )
-        except KeyError as exc:
-            raise InvariantError(f"profile JSON missing field {exc.args[0]!r}") from exc
+        period, offset, slope = (
+            _json_number(_json_field(data, n, "profile"), n)
+            for n in ("period", "offset", "initial_slope")
+        )
+        if slope not in (1.0, -1.0):
+            raise InvariantError(f"initial_slope must be +1 or -1, got {data['initial_slope']!r}")
+        corners = _json_numbers(_json_field(data, "corners", "profile"), "corners")
+        return cls(period, offset, int(slope), corners)
 
 
 @dataclass(frozen=True)
@@ -287,6 +317,8 @@ class Configuration:
     def __post_init__(self) -> None:
         L = self.params.length_L
         xs = tuple(float(x) for x in self.stations)
+        if not all(math.isfinite(x) for x in xs):
+            raise InvariantError("stations must be finite")
         if len(xs) == 0:
             raise InvariantError("configuration needs at least one station")
         if len(xs) != len(self.profiles):
@@ -324,14 +356,16 @@ class Configuration:
 
     @classmethod
     def from_json(cls, data: dict) -> "Configuration":
-        try:
-            return cls(
-                params=ModelParams.from_json(data["params"]),
-                stations=tuple(float(x) for x in data["stations"]),
-                profiles=tuple(SawtoothProfile.from_json(p) for p in data["profiles"]),
-            )
-        except KeyError as exc:
-            raise InvariantError(f"configuration JSON missing field {exc.args[0]!r}") from exc
+        params = ModelParams.from_json(_json_field(data, "params", "configuration"))
+        stations = _json_numbers(_json_field(data, "stations", "configuration"), "stations")
+        entries = _json_list(_json_field(data, "profiles", "configuration"), "profiles")
+        profiles = []
+        for i, p in enumerate(entries):
+            try:
+                profiles.append(SawtoothProfile.from_json(p))
+            except InvariantError as exc:
+                raise InvariantError(f"profiles[{i}]: {exc}") from exc
+        return cls(params, stations, tuple(profiles))
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), indent=2)
@@ -351,6 +385,10 @@ class EnergyBreakdown:
     total: float
 
     def __post_init__(self) -> None:
+        for name in ("austenite", "strain", "surface", "total"):
+            v = getattr(self, name)
+            if not math.isfinite(v):
+                raise InvariantError(f"EnergyBreakdown.{name} must be finite, got {v!r}")
         s = self.austenite + self.strain + self.surface
         scale = max(abs(s), abs(self.total), 1e-300)
         if abs(s - self.total) > 1e-12 * scale:
@@ -430,6 +468,17 @@ def _window_pieces(period: float, window: tuple[float, float] | None) -> list[tu
     return [(a0, period), (0.0, a0 + width - period)]
 
 
+def _window_cuts(ys: np.ndarray, period: float, window: tuple[float, float] | None):
+    """Per window piece, the sorted breakpoints ys (spanning [0, period])
+    inside it plus its two ends; the full period (None) is ys itself."""
+    if window is None:
+        yield ys
+        return
+    for lo, hi in _window_pieces(period, window):
+        cuts = np.unique(np.concatenate((ys, [lo, hi])))
+        yield cuts[(cuts >= lo) & (cuts <= hi)]
+
+
 def l2_distance(
     p: SawtoothProfile,
     q: SawtoothProfile,
@@ -438,26 +487,18 @@ def l2_distance(
     """L2 norm of p - q over the window (default one full period), exact.
 
     p - q is piecewise linear with breakpoints at the union of the two
-    corner sets, so each cell integrates in closed form.
+    cached node sets, so each cell integrates in closed form; each
+    profile is evaluated once per window piece, at all cuts together.
     """
     if abs(p.period - q.period) > 1e-12 * p.period:
         raise InvariantError("l2_distance requires equal periods")
-    h = p.period
-    yp, _ = p.nodes()
-    yq, _ = q.nodes()
+    ys = np.union1d(p.nodes()[0], q.nodes()[0])
     total = 0.0
-    for lo, hi in _window_pieces(h, window):
-        cuts = np.unique(np.concatenate((yp, yq, [lo, hi])))
-        cuts = cuts[(cuts >= lo) & (cuts <= hi)]
-        if cuts[0] > lo:
-            cuts = np.concatenate(([lo], cuts))
-        if cuts[-1] < hi:
-            cuts = np.concatenate((cuts, [hi]))
-        left, right = cuts[:-1], cuts[1:]
-        va = np.asarray(p.evaluate(left)) - np.asarray(q.evaluate(left))
-        vb = np.asarray(p.evaluate(right)) - np.asarray(q.evaluate(right))
+    for cuts in _window_cuts(ys, p.period, window):
+        dv = p.evaluate(cuts) - q.evaluate(cuts)
+        va, vb = dv[:-1], dv[1:]
         # exact integral of a linear function squared on each cell
-        total += float(np.sum((right - left) * (va * va + va * vb + vb * vb) / 3.0))
+        total += float(np.sum(np.diff(cuts) * (va * va + va * vb + vb * vb) / 3.0))
     return math.sqrt(max(total, 0.0))
 
 

@@ -5,8 +5,12 @@ plain dense quadrature, high-precision special functions, and brute
 force enumeration.  Tests compare the library against these.
 """
 
+import math
+
 import mpmath as mp
 import numpy as np
+
+from twinstripe.model_core import _window_pieces
 
 
 def quad_fourier_coefficient(profile, k: int, nodes: int = 10**6) -> complex:
@@ -98,3 +102,67 @@ def quad_screened_energy(cells, alpha: float, nodes_per_cell: int = 400) -> floa
     ker = np.exp(-alpha * np.abs(x[:, None] - x[None, :]))
     vw = v * w
     return float(-(vw @ ker @ vw))
+
+
+# -- profile kernel as it was before the geometry cache ---------------------------
+# Each call re-derives slopes, corner values and nodes from the stored
+# fields; the cached kernel must reproduce these bit for bit.
+
+
+def _segment_slopes(p):
+    first = p.initial_slope if p.corners[0] == 0.0 else -p.initial_slope
+    return first * (-1.0) ** np.arange(len(p.corners))
+
+
+def _corner_values(p):
+    c = np.asarray(p.corners)
+    s = _segment_slopes(p)
+    v0 = p.offset + p.initial_slope * c[0]
+    vals = np.empty(len(c))
+    vals[0] = v0
+    vals[1:] = v0 + np.cumsum(s[:-1] * np.diff(c))
+    return vals
+
+
+def evaluate_reference(p, y):
+    yy = np.asarray(y, dtype=float)
+    scalar = yy.ndim == 0
+    yr = np.mod(yy, p.period)
+    c = np.asarray(p.corners)
+    vals = _corner_values(p)
+    s = _segment_slopes(p)
+    idx = np.searchsorted(c, yr, side="right") - 1
+    out = np.empty_like(yr)
+    before = idx < 0
+    out[before] = p.offset + p.initial_slope * yr[before]
+    inside = ~before
+    j = idx[inside]
+    out[inside] = vals[j] + s[j] * (yr[inside] - c[j])
+    return float(out) if scalar else out
+
+
+def nodes_reference(p):
+    c = np.asarray(p.corners)
+    ys = c if c[0] == 0.0 else np.concatenate(([0.0], c))
+    ys = np.concatenate((ys, [p.period]))
+    vs = np.asarray(evaluate_reference(p, np.minimum(ys, np.nextafter(p.period, 0.0))), dtype=float)
+    vs[-1] = evaluate_reference(p, 0.0)
+    return ys, vs
+
+
+def l2_distance_reference(p, q, window=None):
+    yp, _ = nodes_reference(p)
+    yq, _ = nodes_reference(q)
+    total = 0.0
+    for lo, hi in _window_pieces(p.period, window):
+        cuts = np.unique(np.concatenate((yp, yq, [lo, hi])))
+        cuts = cuts[(cuts >= lo) & (cuts <= hi)]
+        if cuts[0] > lo:
+            cuts = np.concatenate(([lo], cuts))
+        if cuts[-1] < hi:
+            cuts = np.concatenate((cuts, [hi]))
+        left, right = cuts[:-1], cuts[1:]
+        va = evaluate_reference(p, left) - evaluate_reference(q, left)
+        vb = evaluate_reference(p, right) - evaluate_reference(q, right)
+        total += float(np.sum((right - left) * (va * va + va * vb + vb * vb) / 3.0))
+    return math.sqrt(max(total, 0.0))

@@ -1,6 +1,10 @@
 """Exit codes, output formats, and determinism of the command line tool."""
 
+import copy
 import json
+import math
+
+import numpy as np
 
 from twinstripe import cli
 from twinstripe.cli import main
@@ -203,3 +207,97 @@ def test_certify_striped_configuration(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["certified"] is True
     assert abs(payload["excess"]) < 1e-10
+
+
+# -- malformed configuration JSON ------------------------------------------------
+
+
+def _fuzz_paths(cfg):
+    """Every field of a configuration dict, as a key path."""
+    paths = [("params",), ("stations",), ("profiles",)]
+    paths += [("params", k) for k in ("beta", "epsilon", "length_L", "height_h")]
+    paths += [("stations", i) for i in range(len(cfg["stations"]))]
+    for i, prof in enumerate(cfg["profiles"]):
+        paths.append(("profiles", i))
+        paths += [("profiles", i, k) for k in ("period", "offset", "initial_slope", "corners")]
+        paths += [("profiles", i, "corners", j) for j in range(len(prof["corners"]))]
+    return paths
+
+
+def _wrong_type(value, rng):
+    if isinstance(value, list):
+        choices = ["x", None, True, 1.0, {}]
+    elif isinstance(value, dict):
+        choices = ["x", None, False, 1.0, []]
+    else:
+        choices = ["x", "1.0", None, True, [], {}]
+    return choices[int(rng.integers(len(choices)))]
+
+
+def test_malformed_config_fuzz_exits_one_naming_the_field(tmp_path, capsys):
+    """Seeded single-field mutations of a valid configuration: non-finite,
+    wrong type, missing, or a non-integral slope.  Each must end with exit
+    status 1 and a message naming the field, never a traceback or output."""
+    _, cfg = write_striped(tmp_path, stations=3)
+    base = cfg.to_json()
+    paths = _fuzz_paths(base)
+    rng = np.random.default_rng(20101116)
+    path = tmp_path / "mutated.json"
+    commands = (["energy"], ["relax", "--max-iters", "1"], ["certify"])
+    seen = set()
+    for trial in range(160):
+        keys = paths[int(rng.integers(len(paths)))]
+        kinds = ["nonfinite", "type"]
+        if isinstance(keys[-1], str):
+            kinds.append("missing")
+        if keys[-1] == "initial_slope":
+            kinds += ["slope", "slope"]
+        kind = kinds[int(rng.integers(len(kinds)))]
+        data = copy.deepcopy(base)
+        parent = data
+        for k in keys[:-1]:
+            parent = parent[k]
+        if kind == "missing":
+            del parent[keys[-1]]
+        elif kind == "nonfinite":
+            parent[keys[-1]] = [math.nan, math.inf, -math.inf][int(rng.integers(3))]
+        elif kind == "type":
+            parent[keys[-1]] = _wrong_type(parent[keys[-1]], rng)
+        else:
+            parent[keys[-1]] = [1.7, 0.5, -0.3, 2, 0, -2.0, 1.0 + 1e-12][int(rng.integers(7))]
+        path.write_text(json.dumps(data), encoding="utf-8")
+        argv = [*commands[trial % 3], "--config", str(path)]
+        field = [k for k in keys if isinstance(k, str)][-1]
+        where = f"{kind} at {keys}: {data if kind != 'missing' else keys}"
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and not out, where
+        assert field in err, (where, err)
+        assert "Traceback" not in err, where
+        seen.add((kind, field))
+    # the draw covers every kind of mutation and every field
+    assert {k for k, _ in seen} == {"nonfinite", "type", "missing", "slope"}
+    assert {f for _, f in seen} == {
+        "params", "stations", "profiles", "beta", "epsilon", "length_L", "height_h",
+        "period", "offset", "initial_slope", "corners",
+    }
+
+
+def test_reported_malformed_configs_name_their_field(tmp_path, capsys):
+    _, cfg = write_striped(tmp_path, stations=3)
+    path = tmp_path / "bad.json"
+    cases = [
+        (("stations",), [0.0, math.nan, 1.0], "stations[1]"),
+        (("profiles", 1, "initial_slope"), 1.7, "initial_slope"),
+        (("profiles",), "x", "profiles"),
+        (("params", "beta"), "abc", "beta"),
+    ]
+    for keys, value, field in cases:
+        data = cfg.to_json()
+        parent = data
+        for k in keys[:-1]:
+            parent = parent[k]
+        parent[keys[-1]] = value
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = run_cli(capsys, "energy", "--config", str(path))
+        assert code == 1 and not out
+        assert field in err

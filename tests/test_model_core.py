@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,14 @@ from twinstripe.model_core import (
     random_profile,
 )
 
-from oracles import quad_fourier_coefficient, quad_l2_distance, quad_mean_square
+from oracles import (
+    evaluate_reference,
+    l2_distance_reference,
+    nodes_reference,
+    quad_fourier_coefficient,
+    quad_l2_distance,
+    quad_mean_square,
+)
 
 W2 = SawtoothProfile(1.0, 0.0, 1, (0.0, 0.5))
 W4 = SawtoothProfile(1.0, 0.0, 1, (0.0, 0.25, 0.5, 0.75))
@@ -98,6 +106,83 @@ def test_evaluate_matches_w2_example():
     assert W2.evaluate(0.25) == pytest.approx(0.25, abs=1e-15)
     assert W2.evaluate(0.75) == pytest.approx(0.25, abs=1e-15)
     assert W2.evaluate(1.0) == pytest.approx(0.0, abs=1e-15)
+
+
+# -- cached geometry against the pre-cache kernel --------------------------------
+
+
+def kernel_profiles(n=40, seed=101):
+    """Seeded random profiles, every other one re-anchored to a corner at 0."""
+    out = []
+    for j, p in enumerate(profiles_for_trials(n, seed=seed, max_teeth=9)):
+        q = p.translated(-p.corners[0]) if j % 2 else p
+        if j % 2:
+            assert q.corners[0] == 0.0
+        out.append(q)
+    out += [W2, W4, W2.with_offset_shift(-0.3)]
+    return out
+
+
+def test_evaluate_and_nodes_equal_pre_cache_kernel_exactly():
+    rng = np.random.default_rng(5)
+    for p in kernel_profiles():
+        h = p.period
+        ys, vs = nodes_reference(p)
+        y = np.concatenate((
+            rng.random(64) * 4 * h - 2 * h,  # y < 0 and y >= h included
+            np.asarray(p.corners), np.asarray(p.corners) - h, [0.0, h, 2 * h, -h, -0.0],
+            np.nextafter(np.asarray(p.corners), -1.0),
+        ))
+        assert np.array_equal(p.evaluate(y), evaluate_reference(p, y))
+        grid = y[: len(y) // 2 * 2].reshape(2, -1)  # 2-D input keeps its shape
+        assert np.array_equal(p.evaluate(grid), evaluate_reference(p, grid))
+        for t in (0.0, -0.25 * h, h, 1.5 * h, float(p.corners[-1]), float(y[3])):
+            got = p.evaluate(t)
+            assert type(got) is float and got == evaluate_reference(p, t)
+        assert np.array_equal(p.evaluate(np.float64(y[1])), evaluate_reference(p, y[1]))
+        ny, nv = p.nodes()
+        assert np.array_equal(ny, ys) and np.array_equal(nv, vs)
+
+
+def test_l2_distance_equals_pre_cache_kernel_exactly():
+    rng = np.random.default_rng(8)
+    profs = kernel_profiles(n=30, seed=77)
+    for p, q in zip(profs, profs[1:] + profs[:1]):
+        h = p.period
+        assert l2_distance(p, q) == l2_distance_reference(p, q)
+        a = rng.random() * 3 * h - 1.5 * h
+        windows = [
+            (0.0, h),  # full period as a window
+            (a, a + h),  # full period, shifted
+            (0.1 * h, 0.6 * h),  # inside the period
+            (0.9 * h, 1.3 * h),  # wraps the seam
+            (-0.2 * h, 0.1 * h),  # negative start, wraps
+            (a, a + rng.random() * h),
+            (float(p.corners[0]), float(q.corners[-1]) + 1e-3 * h),
+        ]
+        for w in windows:
+            assert l2_distance(p, q, window=w) == l2_distance_reference(p, q, window=w), w
+
+
+def test_cached_geometry_is_read_only_and_per_profile():
+    p = kernel_profiles(n=2, seed=3)[0]
+    ys, vs = p.nodes()
+    for arr in (ys, vs, p.corner_values(), p.slope_after_corners(), p._gaps()):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    assert np.array_equal(p.nodes()[1], nodes_reference(p)[1])
+    shifted = p.with_offset_shift(0.375)
+    moved = replace(p, corners=tuple(np.asarray(p.corners) * 0.5), period=0.5 * p.period)
+    for q in (shifted, moved):
+        qy, qv = q.nodes()
+        ry, rv = nodes_reference(q)
+        assert np.array_equal(qy, ry) and np.array_equal(qv, rv)
+        assert not np.shares_memory(qv, vs)
+        assert q.evaluate(0.0) == evaluate_reference(q, 0.0)
+    assert np.allclose(shifted.nodes()[1], vs + 0.375, rtol=0, atol=1e-12)
+    # the source profile keeps its own cache
+    assert np.array_equal(p.nodes()[1], nodes_reference(p)[1])
 
 
 # -- fourier coefficients ------------------------------------------------------
@@ -232,3 +317,15 @@ def test_energy_breakdown_consistency():
     assert b.total == 6.0
     with pytest.raises(InvariantError):
         EnergyBreakdown(1.0, 2.0, 3.0, 6.5)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvariantError, match="strain"):
+            EnergyBreakdown.from_parts(1.0, bad, 3.0)
+        with pytest.raises(InvariantError, match="total"):
+            EnergyBreakdown(1.0, 2.0, 3.0, bad)
+
+
+def test_configuration_rejects_non_finite_stations():
+    params = ModelParams(1.0, 1e-3, 1.0, 1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InvariantError, match="stations"):
+            Configuration(params, (0.0, bad, 1.0), (W2, W2, W2))
