@@ -21,6 +21,7 @@ from .model_core import (
 )
 from .energy import (
     austenite_energy,
+    h_half_sq,
     h_half_sq_fourier,
     h_half_sq_realspace,
     strain_energy,

@@ -147,10 +147,6 @@ class SegmentSequence:
             if not isinstance(seg, Segment):
                 raise InvariantError("sequence items must be Segments")
 
-    @property
-    def total_length(self) -> float:
-        return math.fsum(seg.length for seg in self.items)
-
 
 class PiecewiseLinear:
     """Sorted, non-overlapping linear cells (a, b, va, vb) on the line."""
@@ -175,12 +171,6 @@ class PiecewiseLinear:
     @property
     def length(self) -> float:
         return float(np.sum(self.cells[:, 1] - self.cells[:, 0]))
-
-    def translate(self, dy: float) -> "PiecewiseLinear":
-        arr = self.cells.copy()
-        arr[:, 0] += dy
-        arr[:, 1] += dy
-        return PiecewiseLinear(arr)
 
 
 def juxtapose(seq, z_start: float = 0.0) -> PiecewiseLinear:

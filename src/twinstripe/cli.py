@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .chessboard import verify_suite
-from .energy import DEFAULT_CUTOFF, total_energy
+from .energy import total_energy
 from .localization import DEFAULT_ETA, DEFAULT_KAPPA, certificate_check
 from .model_core import (
     Configuration,
@@ -93,7 +93,7 @@ def _float_list(text: str, field: str) -> tuple[float, ...]:
 
 def _cmd_energy(args: argparse.Namespace) -> int:
     config = _load_configuration(args.config)
-    breakdown = total_energy(config, cutoff=args.cutoff)
+    breakdown = total_energy(config)
     _emit_json(breakdown.to_json(), args.output)
     return 0
 
@@ -117,8 +117,8 @@ def _cmd_relax(args: argparse.Namespace) -> int:
         topology_moves=args.topology,
     )
     history: list[float] = []
-    final = relax(config, opts, history=history, cutoff=args.cutoff)
-    breakdown = total_energy(final, cutoff=args.cutoff)
+    final = relax(config, opts, history=history)
+    breakdown = total_energy(final)
     payload = {
         "energy": breakdown.to_json(),
         "initial_energy": history[0],
@@ -132,7 +132,7 @@ def _cmd_relax(args: argparse.Namespace) -> int:
 def _cmd_branched(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
     config = branched_candidate(params, args.levels, m0=args.m0)
-    breakdown = total_energy(config, cutoff=args.cutoff)
+    breakdown = total_energy(config)
     payload = {
         "levels": args.levels,
         "m0": config.profiles[-1].interface_count(),
@@ -176,9 +176,7 @@ def _cmd_verify_chessboard(args: argparse.Namespace) -> int:
 
 def _cmd_certify(args: argparse.Namespace) -> int:
     config = _load_configuration(args.config)
-    report = certificate_check(
-        config, eta=args.eta, kappa=args.kappa, cutoff=args.cutoff
-    )
+    report = certificate_check(config, eta=args.eta, kappa=args.kappa)
     _emit_json(report.to_json(), args.output)
     return 0
 
@@ -189,15 +187,6 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 def _add_output(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--output", default=None, metavar="FILE", help="write result here instead of stdout"
-    )
-
-
-def _add_cutoff(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--cutoff",
-        type=int,
-        default=DEFAULT_CUTOFF,
-        help="number of Fourier modes kept in boundary-term sums",
     )
 
 
@@ -217,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("energy", help="evaluate the energy of a stored configuration")
     p.add_argument("--config", required=True, metavar="FILE", help="configuration JSON")
-    _add_cutoff(p)
     _add_output(p)
     p.set_defaults(func=_cmd_energy)
 
@@ -235,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="allow moves that change the interface count",
     )
-    _add_cutoff(p)
     _add_output(p)
     p.set_defaults(func=_cmd_relax)
 
@@ -246,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--state-out", default=None, metavar="FILE", help="also write the configuration JSON here"
     )
-    _add_cutoff(p)
     _add_output(p)
     p.set_defaults(func=_cmd_branched)
 
@@ -280,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, metavar="FILE", help="configuration JSON")
     p.add_argument("--eta", type=float, default=DEFAULT_ETA, help="interface-count slack fraction")
     p.add_argument("--kappa", type=float, default=DEFAULT_KAPPA, help="width-comparison factor")
-    _add_cutoff(p)
     _add_output(p)
     p.set_defaults(func=_cmd_certify)
 

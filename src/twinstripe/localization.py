@@ -29,8 +29,9 @@ import numpy as np
 
 from .energy import (
     DEFAULT_CUTOFF,
+    _mode_sum,
     h_half_inner,
-    h_half_sq_fourier,
+    h_half_sq,
     strain_energy,
     surface_energy,
 )
@@ -103,11 +104,8 @@ class HilbertSignal:
 
     def evaluate(self, y) -> np.ndarray | float:
         yy = np.asarray(y, dtype=float)
-        scalar = yy.ndim == 0
-        ks = np.arange(1, len(self.coeffs) + 1)
-        waves = np.exp(2j * np.pi * np.outer(yy.reshape(-1), ks) / self.period)
-        out = 2.0 * np.real(waves @ self.coeffs)
-        return float(out[0]) if scalar else out.reshape(yy.shape)
+        out = _mode_sum(self.coeffs, self.period, yy.reshape(-1))
+        return float(out[0]) if yy.ndim == 0 else out.reshape(yy.shape)
 
     def sample(self, n: int) -> np.ndarray:
         """Values at y_j = j * period / n via the inverse FFT."""
@@ -367,10 +365,6 @@ class ComparisonProfile:
         gaps[1::2] = self.connector_gaps
         return gaps
 
-    @property
-    def corner_count(self) -> int:
-        return self.profile.interface_count()
-
 
 def build_comparison(u0: SawtoothProfile, part: IntervalPartition) -> ComparisonProfile:
     """Solve the per-interval matching conditions for the notch profile.
@@ -625,8 +619,9 @@ def classify_intervals(
     test makes it type 2.
     """
     _require_normalized(u.params)
-    if eta <= 0 or kappa <= 0:
-        raise InvariantError("eta and kappa must be positive")
+    for name, value in (("eta", eta), ("kappa", kappa)):
+        if not (math.isfinite(value) and value > 0):
+            raise InvariantError(f"{name} must be positive and finite, got {value!r}")
     m = part.m_corners
     cmp = build_comparison(u.profiles[0], part)
     f0 = _gap_spread_per_interval(cmp, u.params.beta, m)
@@ -833,8 +828,9 @@ class CertificateReport:
     ``excess`` is sum_k F_k - cbar * beta * sum_k err_k with the
     measured cbar; a candidate with positive excess cannot be a
     minimizer in the striped regime.  ``pairing_spectral`` evaluates
-    the same mismatch pairing globally through the half-norm inner
-    product as a cross-check on the interval quadratures.
+    the same mismatch pairing globally through the exact corner-pair
+    sum h_half_inner (the name predates it) as a cross-check on the
+    interval quadratures.
     """
 
     m: int
@@ -906,7 +902,6 @@ def certificate_check(
     u: Configuration,
     eta: float = DEFAULT_ETA,
     kappa: float = DEFAULT_KAPPA,
-    cutoff: int = DEFAULT_CUTOFF,
 ) -> CertificateReport:
     """Evaluate the localized contradiction quantity on a candidate.
 
@@ -916,7 +911,7 @@ def certificate_check(
     quantity (local energy minus measured error bound) is nonnegative.
     The per-interval ratio bounding the comparison mismatch by the
     distance between the two traces is measured and reported, never
-    assumed.
+    assumed.  eta and kappa must be positive and finite.
     """
     norm, scale = normalize_configuration(u)
     u0 = norm.profiles[0]
@@ -942,9 +937,7 @@ def certificate_check(
         ratios.append(num / (width * den ** (1.0 / 3.0)) if den > 0 else math.nan)
 
     pairing_quad = float(sum(e.pairing for e in errors))
-    pairing_spectral = h_half_inner(cmp.profile, u0, cutoff) - h_half_sq_fourier(
-        cmp.profile, cutoff
-    )
+    pairing_spectral = h_half_inner(cmp.profile, u0) - h_half_sq(cmp.profile)
     cbar = max((e.cbar for e in errors), default=0.0)
     sum_f0 = float(sum(t.f0 for t in terms))
     sum_f1 = float(sum(t.f1 for t in terms))

@@ -35,21 +35,22 @@ __all__ = [
 ]
 
 
-def _zeta3(terms: int = 256) -> float:
-    """zeta(3) by direct summation with an analytic tail.
+def _zeta(s: int, terms: int = 256) -> float:
+    """zeta(s) for an integer s >= 2 by direct summation with an analytic tail.
 
     The tail past N follows from the midpoint integral with its first
-    Euler-Maclaurin corrections, leaving a remainder of order N^-8,
+    Euler-Maclaurin corrections, leaving a remainder of order N^-(s+5),
     far below double precision at N = 256.
     """
     n = np.arange(1, terms + 1, dtype=float)
-    head = float(np.sum(1.0 / n**3))
+    head = float(np.sum(1.0 / n**s))
     edge = float(terms + 1)
-    tail = 0.5 / edge**2 + 0.5 / edge**3 + 0.25 / edge**4 - (1.0 / 12.0) / edge**6
+    tail = 1.0 / ((s - 1) * edge ** (s - 1)) + 0.5 / edge**s + (s / 12.0) / edge ** (s + 1)
+    tail -= (s * (s + 1) * (s + 2) / 720.0) / edge ** (s + 3)
     return head + tail
 
 
-ZETA3 = _zeta3()
+ZETA3 = _zeta(3)
 C0 = 14.0 * ZETA3 / math.pi**2
 CS = 2.0 * math.sqrt(C0)
 

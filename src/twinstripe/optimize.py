@@ -39,7 +39,7 @@ from .model_core import (
     SawtoothProfile,
     l2_distance,
 )
-from .energy import DEFAULT_CUTOFF, h_half_sq_fourier
+from .energy import h_half_sq, strain_energy, surface_energy
 from .one_dim import C0, e1d, make_w_m, optimal_even_m
 
 __all__ = [
@@ -189,11 +189,8 @@ def _branched_energy(config: Configuration) -> EnergyBreakdown:
     """Breakdown with the boundary term in closed form.
 
     The x = 0 trace of the doubling construction is always equispaced,
-    so its half-norm is c0 h^2 / count exactly and no spectral cutoff
-    enters the candidate search.
+    so its half-norm is c0 h^2 / count exactly.
     """
-    from .energy import strain_energy, surface_energy
-
     p = config.params
     m_fine = config.profiles[0].interface_count()
     austenite = p.beta * C0 * p.height_h**2 / m_fine
@@ -262,9 +259,8 @@ def branched_candidate(
 class _RelaxState:
     """Energy bookkeeping with incremental updates per changed station."""
 
-    def __init__(self, config: Configuration, cutoff: int):
+    def __init__(self, config: Configuration):
         self.params = config.params
-        self.cutoff = cutoff
         self.stations = list(config.stations)
         self.profiles = list(config.profiles)
         self.dx = np.diff(np.asarray(self.stations))
@@ -281,7 +277,7 @@ class _RelaxState:
             self.single_surface = 0.0
 
     def _austenite(self, prof: SawtoothProfile) -> float:
-        return self.params.beta * h_half_sq_fourier(prof, self.cutoff)
+        return self.params.beta * h_half_sq(prof)
 
     def _strain_cell(self, j: int) -> float:
         d = l2_distance(self.profiles[j], self.profiles[j + 1])
@@ -465,7 +461,6 @@ def relax(
     start: Configuration,
     opts: RelaxOptions,
     history: list[float] | None = None,
-    cutoff: int = DEFAULT_CUTOFF,
 ) -> Configuration:
     """Deterministic coordinate descent from the starting configuration.
 
@@ -481,7 +476,7 @@ def relax(
     sweeps, when a sweep accepts nothing, or when a full sweep improves
     by less than tol_energy.
     """
-    state = _RelaxState(start, cutoff)
+    state = _RelaxState(start)
     if history is not None:
         history.append(state.total)
     floor = 1e-15 * max(1.0, abs(state.total))
@@ -780,7 +775,7 @@ def _sweep_point(
             start = branched_candidate(p, 1)
         else:
             start = striped_candidate(p, stations=16)
-        e_relaxed = _RelaxState(relax(start, relax_opts), DEFAULT_CUTOFF).total
+        e_relaxed = _RelaxState(relax(start, relax_opts)).total
         entries["relaxed"] = e_relaxed
     best = min(entries.values())
     winners = [name for name, v in entries.items() if v == best]

@@ -39,29 +39,39 @@ def quad_mean_square(p, nodes: int = 10**6) -> float:
     return float(np.mean(u * u))
 
 
-def h_half_sq_closed_form(profile, dps: int = 30) -> float:
-    """Half-norm squared 4 pi^2 sum_k |k| |uhat(k)|^2 in closed form.
+def h_half_inner_closed_form(f, g, dps: int = 30) -> float:
+    """Half-norm inner product 4 pi^2 sum_k |k| Re(conj(fhat) ghat) in closed form.
 
     For a unit-slope sawtooth the curvature is a sum of point masses
     2 s_j delta(y - c_j), which turns the mode sum into a finite
     combination of trilogarithm values on the unit circle:
 
-        ||u||^2 = (h^2 / (2 pi^2)) sum_{j,l} (2 s_j)(2 s_l)
-                   Re Li_3(exp(2 pi i (c_j - c_l)/h)) / 4 * 4
+        (f, g) = (h^2 / (2 pi^2)) sum_{j,l} (2 s_j)(2 s'_l)
+                  Re Li_3(exp(2 pi i (c_j - c'_l)/h))
 
-    evaluated with mpmath at high precision.  Completely independent of
-    the package's truncated spectral sums.
+    evaluated with mpmath at high precision.  Shares nothing with the
+    package's float kernels.
     """
     with mp.workdps(dps):
-        h = mp.mpf(profile.period)
-        cs = [mp.mpf(c) for c in profile.corners]
-        ds = [mp.mpf(2 * int(s)) for s in profile.slope_after_corners()]
+        h = mp.mpf(f.period)
+
+        def masses(p):
+            return [
+                (mp.mpf(c), mp.mpf(2 * int(s)))
+                for c, s in zip(p.corners, p.slope_after_corners())
+            ]
+
         total = mp.mpf(0)
-        for j in range(len(cs)):
-            for l in range(len(cs)):
-                z = mp.exp(2j * mp.pi * (cs[j] - cs[l]) / h)
-                total += ds[j] * ds[l] * mp.re(mp.polylog(3, z))
+        for cj, dj in masses(f):
+            for cl, dl in masses(g):
+                z = mp.exp(2j * mp.pi * (cj - cl) / h)
+                total += dj * dl * mp.re(mp.polylog(3, z))
         return float(h**2 / (2 * mp.pi**2) * total)
+
+
+def h_half_sq_closed_form(profile, dps: int = 30) -> float:
+    """Half-norm squared: the closed-form inner product of a profile with itself."""
+    return h_half_inner_closed_form(profile, profile, dps)
 
 
 def zeta3() -> float:

@@ -22,6 +22,7 @@ from twinstripe.energy import (
     austenite_energy,
     fourier_coefficients,
     h_half_inner,
+    h_half_sq,
     h_half_sq_fourier,
     h_half_sq_realspace,
     strain_energy,
@@ -168,7 +169,7 @@ def test_07_lower_bound_decomposition():
     for _ in range(200):
         prof = random_profile(rng, 1.0, max_teeth=16)
         base, spread = lower_bound_decomposition(prof, params)
-        lhs = params.beta * h_half_sq_fourier(prof, 32768) + (
+        lhs = params.beta * h_half_sq(prof) + (
             params.epsilon * params.length_L * prof.interface_count()
         )
         worst = min(worst, lhs - base - spread)
@@ -176,7 +177,7 @@ def test_07_lower_bound_decomposition():
     for m in (2, 4, 8, 16):
         w = make_w_m(m, params)
         base, spread = lower_bound_decomposition(w, params)
-        lhs = params.beta * h_half_sq_fourier(w, 262144) + (
+        lhs = params.beta * h_half_sq(w) + (
             params.epsilon * params.length_L * m
         )
         eq_worst = max(eq_worst, abs(lhs - base - spread))
@@ -202,7 +203,7 @@ def test_08_pairing_dual_routes():
         if l2_distance(u0, w) < 1e-6:
             continue  # trace already matched, both routes are zero
         tested += 1
-        spectral = h_half_inner(w, u0, 131072) - h_half_sq_fourier(w, 131072)
+        spectral = h_half_inner(w, u0) - h_half_sq(w)
         quadrature = sum(
             loc._integrate_pairing(w, u0, *part.interval(k))
             for k in range(part.count)

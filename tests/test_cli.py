@@ -1,5 +1,6 @@
 """Exit codes, output formats, and determinism of the command line tool."""
 
+import argparse
 import copy
 import json
 import math
@@ -207,6 +208,66 @@ def test_certify_striped_configuration(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["certified"] is True
     assert abs(payload["excess"]) < 1e-10
+
+
+def test_certify_rejects_bad_eta_and_kappa(tmp_path, capsys):
+    path, _ = write_striped(tmp_path, beta=1e-3, epsilon=1e-5, stations=3)
+    for name in ("eta", "kappa"):
+        for bad in ("nan", "inf", "0", "-1"):
+            code, out, err = run_cli(
+                capsys, "certify", "--config", str(path), f"--{name}", bad
+            )
+            assert code == 1 and not out, (name, bad)
+            assert f"{name} must be" in err, (name, bad, err)
+
+
+# -- option surface ---------------------------------------------------------------
+
+# Every option of every subcommand.  A new knob is a deliberate edit here.
+OPTIONS = {
+    "energy": {"--config", "--output"},
+    "optimal-stripes": {"--beta", "--epsilon", "--length", "--height", "--output"},
+    "relax": {"--config", "--max-iters", "--tol", "--topology", "--output"},
+    "branched": {
+        "--beta", "--epsilon", "--length", "--height", "--levels", "--m0",
+        "--state-out", "--output",
+    },
+    "sweep": {
+        "--betas", "--epsilons", "--compare", "--length", "--height", "--levels-max",
+        "--relax-iters", "--relax-tol", "--format", "--output",
+    },
+    "verify-chessboard": {"--trials", "--seed", "--alphas", "--output"},
+    "certify": {"--config", "--eta", "--kappa", "--output"},
+}
+
+
+def _option_strings(parser):
+    return {
+        opt
+        for action in parser._actions
+        if not isinstance(action, (argparse._HelpAction, argparse._SubParsersAction))
+        for opt in action.option_strings
+    }
+
+
+def test_option_surface_is_pinned():
+    parser = cli.build_parser()
+    assert _option_strings(parser) == set()
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert {name: _option_strings(sub) for name, sub in subs.choices.items()} == OPTIONS
+
+
+def test_cutoff_flag_is_gone(tmp_path, capsys):
+    path, _ = write_striped(tmp_path, stations=3)
+    for argv in (
+        ["energy", "--config", str(path)],
+        ["relax", "--config", str(path), "--max-iters", "1"],
+        ["branched", "--beta", "1", "--epsilon", "1e-2", "--levels", "1", "--m0", "4"],
+        ["certify", "--config", str(path)],
+    ):
+        code, out, err = run_cli(capsys, *argv, "--cutoff", "10")
+        assert code == 1 and not out, argv
+        assert "--cutoff" in err
 
 
 # -- malformed configuration JSON ------------------------------------------------

@@ -2,10 +2,12 @@
 strain and surface terms."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from twinstripe import energy
 from twinstripe.model_core import (
     Configuration,
     InvariantError,
@@ -18,9 +20,9 @@ from twinstripe.energy import (
     AusteniteField,
     austenite_energy,
     h_half_inner,
+    h_half_sq,
     h_half_sq_fourier,
     h_half_sq_realspace,
-    h_half_tail_estimate,
     l2_norm_sq,
     periodized_kernel,
     strain_energy,
@@ -28,7 +30,12 @@ from twinstripe.energy import (
     total_energy,
 )
 
-from oracles import C0_EXACT, h_half_sq_closed_form, quad_mean_square
+from oracles import (
+    C0_EXACT,
+    h_half_inner_closed_form,
+    h_half_sq_closed_form,
+    quad_mean_square,
+)
 
 W2 = SawtoothProfile(1.0, 0.0, 1, (0.0, 0.5))
 
@@ -65,17 +72,6 @@ def test_fourier_against_closed_form_oracle():
         assert approx <= exact + 1e-12  # truncation only discards mass
 
 
-def test_tail_estimate_dominates_truncation():
-    rng = np.random.default_rng(101)
-    for _ in range(5):
-        p = random_profile(rng, n_teeth=4)
-        exact = h_half_sq_closed_form(p)
-        for cutoff in (256, 1024):
-            approx = h_half_sq_fourier(p, cutoff)
-            tail = h_half_tail_estimate(p, cutoff)
-            assert exact - approx <= tail * 1.02 + 1e-14
-
-
 def test_offset_and_translation_leave_half_norm():
     rng = np.random.default_rng(7)
     for _ in range(5):
@@ -93,6 +89,40 @@ def test_joint_scaling_is_quadratic():
         s * p.period, s * p.offset, p.initial_slope, tuple(s * c for c in p.corners)
     )
     assert h_half_sq_fourier(q) == pytest.approx(s * s * h_half_sq_fourier(p), rel=1e-10)
+
+
+# -- corner-pair closed form ---------------------------------------------------
+
+
+def test_pair_sum_matches_trilogarithm_oracle():
+    # the production kernel against the mpmath pair sum, up to 16 teeth
+    rng = np.random.default_rng(102)
+    for _ in range(6):
+        p = random_profile(rng, n_teeth=int(rng.integers(1, 17)))
+        assert h_half_sq(p) == pytest.approx(h_half_sq_closed_form(p), rel=1e-12)
+    for _ in range(4):
+        f = random_profile(rng, n_teeth=int(rng.integers(1, 17)))
+        g = random_profile(rng, n_teeth=int(rng.integers(1, 17)))
+        # relative to the Cauchy-Schwarz scale, which an inner product can
+        # undershoot by cancellation
+        scale = math.sqrt(h_half_sq(f) * h_half_sq(g))
+        exact = h_half_inner_closed_form(f, g)
+        assert abs(h_half_inner(f, g) - exact) <= 1e-12 * max(abs(exact), scale)
+
+
+def test_pair_sum_equispaced_constant_up_to_1024_teeth():
+    # m W_m carries c0 exactly; rounding in the m^2-term pair sum grows
+    # like m^2 eps (measured 1.5e-10 relative at m = 1024)
+    eps = np.finfo(float).eps
+    for m, bound in ((2, 1e-12), (64, 1e-12), (1024, 2.0 * 1024**2 * eps)):
+        assert h_half_sq(make_wm(m)) * m == pytest.approx(C0_EXACT, rel=bound)
+    h = 0.37
+    assert h_half_sq(make_wm(8, h)) == pytest.approx(C0_EXACT * h * h / 8, rel=1e-12)
+
+
+def test_pair_sum_rejects_unequal_periods():
+    with pytest.raises(InvariantError):
+        h_half_inner(W2, make_wm(2, 0.5))
 
 
 # -- real-space route ----------------------------------------------------------
@@ -130,13 +160,13 @@ def test_realspace_w2_value():
 
 
 def test_inner_reduces_to_norm():
-    assert h_half_inner(W2, W2) == pytest.approx(h_half_sq_fourier(W2), rel=1e-12)
+    assert h_half_inner(W2, W2) == pytest.approx(h_half_sq(W2), rel=1e-12)
 
 
 def test_inner_half_period_shift_flips_sign():
     shifted = W2.translated(0.5)
     v = h_half_inner(W2, shifted)
-    assert v == pytest.approx(-h_half_sq_fourier(W2), rel=1e-9)
+    assert v == pytest.approx(-h_half_sq(W2), rel=1e-9)
 
 
 def test_inner_symmetry_and_derivative_bound():
@@ -197,6 +227,33 @@ def test_constant_trace_extension_energy_is_zero():
     assert f0 == pytest.approx(f1, rel=1e-12)
 
 
+def test_extension_blocks_match_single_block(monkeypatch):
+    # point counts around the block length, against one block holding all
+    field = AusteniteField(random_profile(np.random.default_rng(92), n_teeth=4))
+    step = energy._BLOCK_ENTRIES // field.mode_cutoff
+    rng = np.random.default_rng(93)
+    cases = []
+    for n in (1, step - 1, step, step + 1, 2 * step + 1):
+        x, y = -rng.uniform(0.0, 0.2, n), rng.uniform(0.0, 1.0, n)
+        cases.append((x, y, field.evaluate(x, y)))
+    monkeypatch.setattr(energy, "_BLOCK_ENTRIES", 2**40)
+    for x, y, blocked in cases:
+        assert np.max(np.abs(blocked - field.evaluate(x, y))) <= 1e-12
+
+
+def test_extension_memory_bounded_in_point_count():
+    # unblocked, 4096 points x 1024 modes would hold 64 MB per complex array
+    field = AusteniteField(random_profile(np.random.default_rng(94), n_teeth=4), 1024)
+    y = np.linspace(0.0, 1.0, 4096)
+    tracemalloc.start()
+    try:
+        field.evaluate(-0.01, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
 # -- strain and surface --------------------------------------------------------
 
 
@@ -242,7 +299,7 @@ def test_total_energy_breakdown_and_invariance():
     cfg = Configuration(params(beta=0.7, eps=0.01), (0.0, 1.0), (W2, w4))
     b = total_energy(cfg)
     assert b.total == pytest.approx(b.austenite + b.strain + b.surface, rel=1e-12)
-    assert b.austenite == pytest.approx(0.7 * h_half_sq_fourier(W2), rel=1e-12)
+    assert b.austenite == pytest.approx(0.7 * h_half_sq(W2), rel=1e-12)
     # translating every profile and shifting all offsets changes nothing
     dy = 0.237
     cfg2 = Configuration(

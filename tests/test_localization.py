@@ -4,6 +4,7 @@ and the certificate that assembles them."""
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,9 +17,10 @@ from twinstripe.model_core import (
     l2_distance,
     random_profile,
 )
+from twinstripe import energy
 from twinstripe.energy import (
     h_half_inner,
-    h_half_sq_fourier,
+    h_half_sq,
     strain_energy,
     surface_energy,
     total_energy,
@@ -80,6 +82,30 @@ def test_hilbert_signal_sampling_matches_pointwise():
         sig.sample(16)
 
 
+def test_hilbert_signal_blocks_match_single_block(monkeypatch):
+    sig = loc.hilbert_transform(random_profile(np.random.default_rng(23), 1.0, 3))
+    step = energy._BLOCK_ENTRIES // len(sig.coeffs)
+    rng = np.random.default_rng(24)
+    cases = [rng.uniform(0.0, 1.0, n) for n in (1, step - 1, step, step + 1, 2 * step + 1)]
+    blocked = [sig.evaluate(ys) for ys in cases]
+    monkeypatch.setattr(energy, "_BLOCK_ENTRIES", 2**40)
+    for ys, got in zip(cases, blocked):
+        assert np.max(np.abs(got - sig.evaluate(ys))) <= 1e-12
+
+
+def test_hilbert_signal_memory_bounded_in_point_count():
+    # unblocked, 4096 points x 1024 modes would hold 64 MB per complex array
+    sig = loc.hilbert_transform(random_profile(np.random.default_rng(25), 1.0, 3), cutoff=1024)
+    ys = np.linspace(0.0, 1.0, 4096)
+    tracemalloc.start()
+    try:
+        sig.evaluate(ys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
 def test_slope_transform_closed_form_tracks_spectral_series():
     # the log form is exact; the truncated series drifts toward it like 1/K
     rng = np.random.default_rng(3)
@@ -110,9 +136,7 @@ def test_pairing_integral_matches_spectral_inner_product():
         if l2_distance(u0, cmp.profile) < 1e-6:
             continue  # trace already matched, both routes are zero
         kept += 1
-        spectral = h_half_inner(cmp.profile, u0, 32768) - h_half_sq_fourier(
-            cmp.profile, 32768
-        )
+        spectral = h_half_inner(cmp.profile, u0) - h_half_sq(cmp.profile)
         quadrature = sum(
             loc._integrate_pairing(cmp.profile, u0, *part.interval(k))
             for k in range(part.count)
@@ -439,7 +463,7 @@ def test_certificate_cross_checks_pairing_routes():
     u0 = random_profile(rng, 1.0, 3)
     u1 = random_profile(rng, 1.0, 4)
     config = two_station_config(u0, u1, beta=0.5, epsilon=0.1)
-    report = loc.certificate_check(config, cutoff=32768)
+    report = loc.certificate_check(config)
     assert report.pairing_quadrature == pytest.approx(
         report.pairing_spectral, rel=1e-5, abs=1e-9
     )
@@ -455,8 +479,8 @@ def test_normalization_preserves_energy_up_to_scale():
     config = Configuration(params, (0.0, 1.1, L), profs)
     norm, scale = loc.normalize_configuration(config)
     assert scale == pytest.approx(h**3 / L)
-    before = total_energy(config, cutoff=2048)
-    after = total_energy(norm, cutoff=2048)
+    before = total_energy(config)
+    after = total_energy(norm)
     assert before.austenite == pytest.approx(scale * after.austenite, rel=1e-9)
     assert before.strain == pytest.approx(scale * after.strain, rel=1e-12)
     assert before.surface == pytest.approx(scale * after.surface, rel=1e-12)

@@ -12,7 +12,7 @@ from twinstripe.model_core import (
     SawtoothProfile,
     l2_distance,
 )
-from twinstripe.energy import h_half_tail_estimate, total_energy
+from twinstripe.energy import total_energy
 from twinstripe.one_dim import C0, e1d, make_w_m, optimal_even_m
 from twinstripe import optimize as op
 
@@ -55,12 +55,11 @@ def test_striped_candidate_matches_closed_form():
     assert closed.surface == params.epsilon * params.length_L * m
     assert closed.austenite == pytest.approx(params.beta * C0 / m, rel=1e-12)
 
-    # the spectral route reproduces the closed form up to its truncation tail
-    spectral = total_energy(config)
-    tail = params.beta * h_half_tail_estimate(config.profiles[0])
-    assert spectral.strain == 0.0
-    assert spectral.surface == pytest.approx(closed.surface, rel=1e-12)
-    assert abs(spectral.austenite - closed.austenite) <= 1.5 * tail + 1e-12
+    # the corner-pair route reproduces the closed form to rounding
+    paired = total_energy(config)
+    assert paired.strain == 0.0
+    assert paired.surface == pytest.approx(closed.surface, rel=1e-12)
+    assert paired.austenite == pytest.approx(closed.austenite, rel=1e-12)
 
 
 def test_striped_candidate_is_relax_fixed_point():
