@@ -67,6 +67,10 @@ def h_half_sq_fourier(profile: SawtoothProfile, cutoff: int = DEFAULT_CUTOFF) ->
     return float(8.0 * np.pi**2 * np.sum(ks * np.abs(coeffs) ** 2))
 
 
+# Most entries a blocked evaluation holds at once: (points x modes) of a
+# mode sum, 4 MB complex, or (corners x corners) of a pair sum, 2 MB real.
+_BLOCK_ENTRIES = 2**18
+
 # zeta(2n) / (n (2n+1) (2n+2)) for n = 30..1, then 0: the power series
 # of Cl_3 in (theta / 2 pi)^2 (DLMF 25.12), highest power first
 _CL3_SERIES = np.array(
@@ -95,14 +99,21 @@ def h_half_inner(f: SawtoothProfile, g: SawtoothProfile) -> float:
         (f, g) = h^2 / (2 pi^2) sum_{j,l} d_j d'_l Cl_3(2 pi (c_j - c'_l) / h).
 
     The constant zeta(3) of each Cl_3 drops out because the masses of a
-    profile sum to zero; the rounding left grows like m^2 eps.
+    profile sum to zero; the rounding left grows like m^2 eps.  The
+    rows of f are taken a block at a time, so memory stays bounded.
     """
     if abs(f.period - g.period) > 1e-12 * f.period:
         raise InvariantError("h_half_inner requires equal periods")
     h = f.period
-    frac = np.mod(np.subtract.outer(np.asarray(f.corners), np.asarray(g.corners)) / h, 1.0)
-    theta = 2.0 * np.pi * np.minimum(frac, 1.0 - frac)
-    pairs = f.slope_after_corners() @ _clausen3_less_zeta3(theta) @ g.slope_after_corners()
+    cf, cg = np.asarray(f.corners), np.asarray(g.corners)
+    sf, sg = f.slope_after_corners(), g.slope_after_corners()
+    step = max(1, _BLOCK_ENTRIES // len(cg))
+    pairs = 0.0
+    for lo in range(0, len(cf), step):
+        block = slice(lo, lo + step)
+        frac = np.mod(np.subtract.outer(cf[block], cg) / h, 1.0)
+        theta = 2.0 * np.pi * np.minimum(frac, 1.0 - frac)
+        pairs += sf[block] @ _clausen3_less_zeta3(theta) @ sg
     return float(2.0 * h * h / np.pi**2 * pairs)
 
 
@@ -178,10 +189,6 @@ def l2_norm_sq(profile: SawtoothProfile, window: tuple[float, float] | None = No
         va, vb = v[:-1], v[1:]
         total += float(np.sum(np.diff(cuts) * (va * va + va * vb + vb * vb) / 3.0))
     return total
-
-
-# Most (points x modes) entries a mode-sum evaluation holds at once: 4 MB complex.
-_BLOCK_ENTRIES = 2**18
 
 
 def _mode_sum(

@@ -8,7 +8,17 @@ Trial states and descent:
   interface count doubles in geometrically shrinking bands toward the
   austenite boundary at x = 0, with corner trajectories linear in x
   inside each band.  Band lengths shrink by theta = 1/4 per level so
-  that every band contributes comparable strain.
+  that every band contributes the same strain.  Its energy has the
+  closed form ``_branched_breakdown`` (the Kohn-Mueller branching
+  ansatz),
+
+      E(levels, m0) = beta c0 h^2 / (m0 2^levels)
+                      + levels h^3 (3b - 1) / (12 b m0^2 L (1 - theta))
+                      + epsilon L m0 (3 - 2^(1 - levels)),
+
+  with b stations per band, so the coarse count m0 and the depth are
+  chosen by exact minimization of E, and a layout is built only when a
+  configuration is wanted.
 * ``relax`` runs deterministic coordinate descent over an explicit move
   set (tooth shifts, rigid column shifts, offset shifts, neighbor
   copying, optional tooth creation/annihilation), accepting only moves
@@ -39,7 +49,7 @@ from .model_core import (
     SawtoothProfile,
     l2_distance,
 )
-from .energy import h_half_sq, strain_energy, surface_energy
+from .energy import h_half_sq
 from .one_dim import C0, e1d, make_w_m, optimal_even_m
 
 __all__ = [
@@ -60,6 +70,13 @@ DEFAULT_STATIONS = 64
 BAND_THETA = 0.25
 BAND_STATIONS = 4
 MAX_COARSE_COUNT = 512
+# Most corners the x = 0 profile of a built branched layout may carry: the
+# boundary pair sum of a build costs time quadratic in this count.
+MAX_BUILD_CORNERS = 2**13
+# A layout is admissible while m0 2^levels stays below this count
+# (see _admissible); _DEEPEST is the deepest level it admits, at m0 = 2.
+_FLOOR_COUNT = 1.0 / (4 * BAND_STATIONS * MERGE_TOL)
+_DEEPEST = int(math.log2(_FLOOR_COUNT / 2))
 
 
 @dataclass(frozen=True)
@@ -157,100 +174,99 @@ def _doubling_profile(q: int, t: float, h: float) -> SawtoothProfile:
     return SawtoothProfile(h, 0.0, 1, tuple(corners))
 
 
+def _admissible(levels: int, m0):
+    """Whether the layout (levels, m0) keeps its band corners apart.
+
+    A quarter of the finest tooth width 2h / (m0 2^levels), split over
+    the band stations, must stay above twice MERGE_TOL h; that also keeps
+    the finest period above 4 MERGE_TOL h.  Elementwise over counts.
+    """
+    if levels > _DEEPEST:  # before 2**levels can outgrow a float
+        return np.zeros_like(m0, dtype=bool)
+    return m0 * 2**levels < _FLOOR_COUNT
+
+
 def _branched_layout(
-    params: ModelParams, levels: int, m0: int, band_stations: int
+    params: ModelParams, levels: int, m0: int
 ) -> tuple[tuple[float, ...], tuple[SawtoothProfile, ...]]:
-    h, L = params.height_h, params.length_L
-    fine_period = 2.0 * h / (m0 * 2**levels)
-    if fine_period < 4.0 * MERGE_TOL * h:
+    if not _admissible(levels, m0):
+        raise InvariantError(f"levels={levels} with m0={m0} puts corners below the merge tolerance")
+    fine = m0 * 2**levels
+    if fine > MAX_BUILD_CORNERS:
         raise InvariantError(
-            f"levels={levels} drops the finest period to {fine_period:.3e}, "
-            "below four times the corner-merge tolerance"
+            f"levels={levels} with m0={m0} needs {fine} corners at x = 0, "
+            f"more than the {MAX_BUILD_CORNERS} a built layout may carry"
         )
-    if fine_period / (4.0 * band_stations) <= 2.0 * MERGE_TOL * h:
-        raise InvariantError("band stations would create corners below the merge tolerance")
+    h, L = params.height_h, params.length_L
     if levels == 0:
         prof = _equispaced(m0, h)
         return (0.0, L), (prof, prof)
     xs: list[float] = [0.0, L * BAND_THETA**levels]
-    profs: list[SawtoothProfile] = [_equispaced(m0 * 2**levels, h)] * 2
+    profs: list[SawtoothProfile] = [_equispaced(fine, h)] * 2
     for m in range(levels - 1, -1, -1):
         x_out = L * BAND_THETA**m
         x_in = L * BAND_THETA ** (m + 1)
         q = (m0 // 2) * 2**m
-        for j in range(band_stations - 1, -1, -1):
-            t = j / band_stations
+        for j in range(BAND_STATIONS - 1, -1, -1):
+            t = j / BAND_STATIONS
             xs.append(x_out - t * (x_out - x_in))
             profs.append(_doubling_profile(q, t, h))
     return tuple(xs), tuple(profs)
 
 
-def _branched_energy(config: Configuration) -> EnergyBreakdown:
-    """Breakdown with the boundary term in closed form.
+def _branched_parts(params: ModelParams, levels: int, m0):
+    """(austenite, strain, surface) of the layout in closed form, elementwise over m0."""
+    h, L, b = params.height_h, params.length_L, BAND_STATIONS
+    austenite = params.beta * C0 * h * h / (m0 * 2**levels)
+    strain = levels * h**3 * (3 * b - 1) / (12 * b * m0**2 * L * (1.0 - BAND_THETA))
+    surface = params.epsilon * L * m0 * (3.0 - 2.0 ** (1 - levels))
+    return austenite, strain, surface
 
-    The x = 0 trace of the doubling construction is always equispaced,
-    so its half-norm is c0 h^2 / count exactly.
+
+def _branched_breakdown(params: ModelParams, levels: int, m0: int) -> EnergyBreakdown:
+    """Energy of the layout (levels, m0) without building it.
+
+    The closed form E(levels, m0) of the module docstring, b =
+    BAND_STATIONS.  The x = 0 trace is equispaced, so the boundary term
+    is the striped one at the finest count.  Inside a band only the
+    trailing corner pair of each cell moves, linearly in x, so every
+    station cell costs a fixed triangle integral; with theta = 1/4 the
+    count doubling and the band shrinking by four cancel, and every band
+    costs the same strain.  Each band is charged at its doubled count,
+    which sums to the surface factor 3 - 2^(1 - levels).
     """
-    p = config.params
-    m_fine = config.profiles[0].interface_count()
-    austenite = p.beta * C0 * p.height_h**2 / m_fine
-    return EnergyBreakdown.from_parts(
-        austenite, strain_energy(config), surface_energy(config)
-    )
+    return EnergyBreakdown.from_parts(*_branched_parts(params, levels, m0))
 
 
-def branched_candidate(
-    params: ModelParams,
-    levels: int,
-    m0: int | None = None,
-    band_stations: int = BAND_STATIONS,
-) -> Configuration:
+def _best_m0(params: ModelParams, levels: int) -> int:
+    """Admissible even m0 <= MAX_COARSE_COUNT of least closed-form energy; ties take the smaller."""
+    counts = np.arange(2, MAX_COARSE_COUNT + 1, 2)
+    counts = counts[_admissible(levels, counts)]
+    if counts.size == 0:
+        raise InvariantError(f"levels={levels} admits no coarse count above the merge tolerance")
+    return int(counts[np.argmin(sum(_branched_parts(params, levels, counts)))])
+
+
+def branched_candidate(params: ModelParams, levels: int, m0: int | None = None) -> Configuration:
     """Period-doubling trial state with ``levels`` refinement bands.
 
     The interface count starts at m0 on the outer edge x = L and doubles
     at bands of length proportional to theta^m approaching x = 0, where
-    theta = 1/4 keeps the strain contribution of every band comparable.
+    theta = 1/4 keeps the strain contribution of every band equal.
     With levels = 0 the construction degenerates to the striped state at
-    the coarsest count.  When m0 is not given it is chosen by scanning
-    even counts for the lowest energy of the assembled configuration.
+    the coarsest count.  When m0 is not given it is the exact minimizer
+    of the closed-form energy (``_branched_breakdown``) over every
+    admissible even count up to MAX_COARSE_COUNT; the layout is then
+    built once.  A layout whose x = 0 profile would carry more than
+    MAX_BUILD_CORNERS corners is refused.
     """
     if not isinstance(levels, (int, np.integer)) or levels < 0:
         raise InvariantError(f"levels must be a nonnegative integer, got {levels!r}")
-    if band_stations < 2:
-        raise InvariantError("need at least 2 stations per band")
-    if m0 is not None:
-        if m0 < 2 or m0 % 2 != 0:
-            raise InvariantError(f"m0 must be an even count >= 2, got {m0!r}")
-        xs, profs = _branched_layout(params, levels, m0, band_stations)
-        return Configuration(params, xs, profs)
-
-    def energy_at(count: int) -> float:
-        xs, profs = _branched_layout(params, levels, count, band_stations)
-        return _branched_energy(Configuration(params, xs, profs)).total
-
-    # doubling scan with early exit; the energy is unimodal in the count
-    coarse: list[tuple[int, float]] = []
-    count = 2
-    rising = 0
-    while count <= MAX_COARSE_COUNT:
-        val = energy_at(count)
-        if coarse and val > coarse[-1][1]:
-            rising += 1
-            if rising >= 2:
-                coarse.append((count, val))
-                break
-        else:
-            rising = 0
-        coarse.append((count, val))
-        count *= 2
-    pivot = min(coarse, key=lambda cv: cv[1])[0]
-    lo = max(2, pivot // 2)
-    hi = min(MAX_COARSE_COUNT, 2 * pivot)
-    fine = sorted({2 * int(round(c / 2.0)) for c in np.linspace(lo, hi, 9)})
-    fine = [c for c in fine if c >= 2]
-    best = min(fine, key=energy_at)
-    xs, profs = _branched_layout(params, levels, best, band_stations)
-    return Configuration(params, xs, profs)
+    if m0 is None:
+        m0 = _best_m0(params, levels)
+    elif m0 < 2 or m0 % 2 != 0:
+        raise InvariantError(f"m0 must be an even count >= 2, got {m0!r}")
+    return Configuration(params, *_branched_layout(params, levels, m0))
 
 
 # -- coordinate descent --------------------------------------------------------
@@ -687,68 +703,18 @@ class SweepResult:
         }
 
 
-def _search_m0(
-    params: ModelParams, levels: int, band_stations: int, hint: int | None
-) -> tuple[int, float]:
-    """Best even coarse count for a fixed level, warm-started by a hint."""
-
-    def energy_at(count: int) -> float:
-        xs, profs = _branched_layout(params, levels, count, band_stations)
-        return _branched_energy(Configuration(params, xs, profs)).total
-
-    if hint is None:
-        pivot = 2
-        pivot_val = energy_at(2)
-        count = 4
-        rising = 0
-        while count <= MAX_COARSE_COUNT:
-            val = energy_at(count)
-            if val < pivot_val:
-                pivot, pivot_val = count, val
-                rising = 0
-            else:
-                rising += 1
-                if rising >= 2:
-                    break
-            count *= 2
-    else:
-        pivot = hint
-    lo = max(2, pivot // 2)
-    hi = min(MAX_COARSE_COUNT, 2 * pivot)
-    cands = sorted({2 * int(round(c / 2.0)) for c in np.linspace(lo, hi, 9)} | {pivot})
-    cands = [c for c in cands if c >= 2]
-    best = min(cands, key=energy_at)
-    return best, energy_at(best)
-
-
 def _best_branched(params: ModelParams, levels_max: int) -> float:
     """Lowest energy over genuinely branched states (at least one doubling).
 
-    Searches coarse counts with a thinned two-station-per-band layout for
-    speed, then rebuilds the winner at full band resolution.
+    The exact minimum of the closed form ``_branched_breakdown`` over
+    every admissible pair (levels, m0) with 1 <= levels <= levels_max and
+    m0 even up to MAX_COARSE_COUNT; nothing is built.  Levels beyond the
+    deepest one the merge tolerance admits are never searched.
     """
-    best = math.inf
-    best_pick: tuple[int, int] | None = None
-    hint: int | None = None
-    worse = 0
-    for lv in range(1, max(1, levels_max) + 1):
-        try:
-            m0, val = _search_m0(params, lv, 2, hint)
-        except InvariantError:
-            break
-        hint = m0
-        if val < best:
-            best = val
-            best_pick = (lv, m0)
-            worse = 0
-        else:
-            worse += 1
-            if worse >= 2:
-                break
-    if best_pick is None:
+    picks = [(lv, _best_m0(params, lv)) for lv in range(1, min(levels_max, _DEEPEST) + 1)]
+    if not picks:
         raise InvariantError("no admissible branched state below levels_max")
-    config = branched_candidate(params, best_pick[0], m0=best_pick[1])
-    return _branched_energy(config).total
+    return min(_branched_breakdown(params, lv, m0).total for lv, m0 in picks)
 
 
 def _sweep_point(
@@ -794,12 +760,15 @@ def phase_sweep(
 
     Points run in grid order in the calling thread: the work holds the
     interpreter lock, so worker threads would only add overhead.  The
-    branched column reports the best state with at least one
-    doubling band, so the striped and branched columns stay distinct
-    candidates; exact ties are reported as "degenerate".
+    branched column reports the exact minimum of the closed-form
+    branched energy over 1 <= levels <= levels_max and every admissible
+    even m0, so it always has at least one doubling band and the striped
+    and branched columns stay distinct candidates; exact ties are
+    reported as "degenerate".  Only the relaxed column builds a branched
+    layout, as its starting state.
     """
-    if levels_max < 0:
-        raise InvariantError("levels_max must be nonnegative")
+    if not isinstance(levels_max, (int, np.integer)) or levels_max < 1:
+        raise InvariantError(f"levels_max must be an integer >= 1, got {levels_max!r}")
     opts = relax_opts if relax_opts is not None else RelaxOptions(max_iters=30)
     rows = [
         _sweep_point(b, e, template, grid.compare, levels_max, opts)

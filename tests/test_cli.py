@@ -12,7 +12,7 @@ from twinstripe.cli import main
 from twinstripe.energy import total_energy
 from twinstripe.model_core import Configuration, ModelParams, NonConvergenceError
 from twinstripe.one_dim import optimal_even_m
-from twinstripe.optimize import striped_candidate
+from twinstripe.optimize import MAX_BUILD_CORNERS, striped_candidate
 
 
 def run_cli(capsys, *argv):
@@ -123,6 +123,37 @@ def test_branched_state_out_round_trips(tmp_path, capsys):
     assert cfg.profiles[0].interface_count() == 16
     assert cfg.profiles[-1].interface_count() == 4
     assert payload["energy"]["total"] == total_energy(cfg).total
+
+
+def test_branched_rejects_too_deep_or_too_fine_layouts(capsys):
+    base = ["branched", "--beta", "1", "--epsilon", "1e-2"]
+    # past the merge floor, refused before any count or array is formed
+    code, out, err = run_cli(capsys, *base, "--levels", "1000000")
+    assert code == 1 and not out
+    assert "levels" in err and "Traceback" not in err
+    # one count above the build cap, refused before the layout is built
+    m0 = str(MAX_BUILD_CORNERS // 2 + 2)
+    code, out, err = run_cli(capsys, *base, "--levels", "1", "--m0", m0)
+    assert code == 1 and not out
+    assert "levels" in err and str(MAX_BUILD_CORNERS) in err
+
+
+def test_sweep_levels_max_below_one_exits_one(capsys):
+    for bad in ("0", "-3"):
+        code, out, err = run_cli(
+            capsys, "sweep", "--betas", "1", "--epsilons", "1e-3", "--levels-max", bad
+        )
+        assert code == 1 and not out
+        assert "levels_max" in err
+
+
+def test_sweep_levels_max_is_clipped_at_the_merge_floor(capsys):
+    args = ["sweep", "--betas", "1e-3,1.0", "--epsilons", "1e-5,1e-3"]
+    code, deep, _ = run_cli(capsys, *args, "--levels-max", "1000000000")
+    assert code == 0
+    code, forty, _ = run_cli(capsys, *args, "--levels-max", "40")
+    assert code == 0
+    assert deep == forty
 
 
 def test_sweep_csv_header_and_thread_determinism(tmp_path, capsys):

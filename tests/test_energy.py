@@ -254,6 +254,35 @@ def test_extension_memory_bounded_in_point_count():
     assert peak < 16e6
 
 
+def test_pair_sum_blocks_match_single_block(monkeypatch):
+    # corner counts are even, so the rows of f are held fixed and the
+    # block length moves around them: one row per block, a last block of
+    # one row, an exact fit, one oversize block, two full blocks
+    rng = np.random.default_rng(95)
+    f = random_profile(rng, n_teeth=12)
+    g = random_profile(rng, n_teeth=5)
+    rows, cols = len(f.corners), len(g.corners)
+    monkeypatch.setattr(energy, "_BLOCK_ENTRIES", 2**40)
+    whole = (h_half_inner(f, g), h_half_sq(f))
+    for step in (1, rows - 1, rows, rows + 1, rows // 2):
+        monkeypatch.setattr(energy, "_BLOCK_ENTRIES", step * cols)
+        assert abs(h_half_inner(f, g) - whole[0]) <= 1e-12
+        monkeypatch.setattr(energy, "_BLOCK_ENTRIES", step * rows)
+        assert abs(h_half_sq(f) - whole[1]) <= 1e-12
+
+
+def test_pair_sum_memory_bounded_in_corner_count():
+    # unblocked, 2048 x 2048 corner pairs would hold about 224 MB of temporaries
+    prof = make_wm(2048)
+    tracemalloc.start()
+    try:
+        h_half_sq(prof)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
+
+
 # -- strain and surface --------------------------------------------------------
 
 

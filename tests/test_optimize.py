@@ -12,7 +12,7 @@ from twinstripe.model_core import (
     SawtoothProfile,
     l2_distance,
 )
-from twinstripe.energy import total_energy
+from twinstripe.energy import strain_energy, surface_energy, total_energy
 from twinstripe.one_dim import C0, e1d, make_w_m, optimal_even_m
 from twinstripe import optimize as op
 
@@ -79,7 +79,7 @@ def test_branched_level_zero_is_coarsest_striped():
     config = op.branched_candidate(params, 0)
     assert len(config.stations) == 2
     assert config.profiles[0] is config.profiles[1]
-    bd = op._branched_energy(config)
+    bd = total_energy(config)
     assert bd.strain == 0.0
     m0 = config.profiles[0].interface_count()
     assert bd.total == pytest.approx(e1d(m0, params), rel=1e-12)
@@ -116,9 +116,60 @@ def test_branched_geometry_doubles_toward_boundary():
 
 def test_branched_beats_striped_in_branching_regime():
     params = ModelParams(1.0, 1e-2, 1.0, 1.0)
-    e_b = op._branched_energy(op.branched_candidate(params, 4)).total
+    e_b = total_energy(op.branched_candidate(params, 4)).total
     e_s = op.striped_breakdown(params).total
     assert e_b < e_s
+
+
+def test_branched_breakdown_matches_built_layouts():
+    eps = np.finfo(float).eps
+    for params in (ModelParams(1.0, 1e-2, 1.0, 1.0), ModelParams(0.7, 3e-3, 2.5, 0.6)):
+        for levels in range(6):
+            for m0 in (2, 4, 6, 10, 32):
+                config = op.branched_candidate(params, levels, m0=m0)
+                closed = op._branched_breakdown(params, levels, m0)
+                where = (params, levels, m0)
+                assert closed.strain == pytest.approx(strain_energy(config), rel=1e-12), where
+                assert closed.surface == pytest.approx(surface_energy(config), rel=1e-12), where
+                # the pair sum itself carries rounding up to 2 m^2 eps
+                m_fine = m0 * 2**levels
+                rel = max(1e-12, 2.0 * m_fine**2 * eps)
+                paired = total_energy(config).austenite
+                assert closed.austenite == pytest.approx(paired, rel=rel), where
+
+
+def test_branched_m0_is_the_best_even_count():
+    # a doubling scan refined at nine counts lands on m0 = 22 here; 24 is lower
+    params = ModelParams(0.24825986857805218, 2.018715383134175e-4, 1.0, 1.0)
+    config = op.branched_candidate(params, 1)
+    m0 = config.profiles[-1].interface_count()
+    energy = total_energy(config).total
+    for other in (m0 - 2, m0 + 2):
+        assert energy <= total_energy(op.branched_candidate(params, 1, m0=other)).total
+
+
+def test_branched_build_cap_and_merge_floor():
+    params = ModelParams(1.0, 1e-2, 1.0, 1.0)
+    cap = op.MAX_BUILD_CORNERS
+    config = op.branched_candidate(params, 1, m0=cap // 2)
+    assert config.profiles[0].interface_count() == cap
+    with pytest.raises(InvariantError, match="levels"):
+        op.branched_candidate(params, 1, m0=cap // 2 + 2)
+    for levels in (30, 10**6):
+        with pytest.raises(InvariantError, match="levels"):
+            op.branched_candidate(params, levels)
+
+
+def test_best_branched_is_the_closed_form_minimum():
+    params = ModelParams(1.0, 1e-3, 1.0, 1.0)
+    best = op._best_branched(params, 6)
+    every = [
+        op._branched_breakdown(params, lv, m0).total
+        for lv in range(1, 7)
+        for m0 in range(2, op.MAX_COARSE_COUNT + 1, 2)
+    ]
+    assert best == min(every)
+    assert op._best_branched(params, 10**9) == op._best_branched(params, 40)
 
 
 # -- relax -----------------------------------------------------------------------
@@ -200,6 +251,23 @@ def test_phase_sweep_table_and_csv():
     assert len(lines) == 3
     first = lines[1].split(",")
     assert float(first[0]) == 1e-3 and first[5] == ""
+
+
+def test_phase_sweep_builds_no_branched_layout(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the branched column must not build a layout")
+
+    monkeypatch.setattr(op, "_branched_layout", refuse)
+    grid = op.SweepGrid((1e-3, 1.0), (1e-4, 1e-2))
+    result = op.phase_sweep(grid, ModelParams(1.0, 1.0, 2.0, 0.5), levels_max=8)
+    assert len(result.rows) == 4
+
+
+def test_phase_sweep_rejects_levels_max_below_one():
+    grid = op.SweepGrid((1.0,), (1e-3,))
+    for bad in (0, -1, 2.5):
+        with pytest.raises(InvariantError, match="levels_max"):
+            op.phase_sweep(grid, ModelParams(1.0, 1.0, 1.0, 1.0), levels_max=bad)
 
 
 def test_phase_sweep_with_relaxed_column():
