@@ -41,6 +41,7 @@ __all__ = [
     "DEFAULT_CUTOFF",
     "AusteniteField",
     "h_half_inner",
+    "pair_sum",
     "h_half_sq",
     "h_half_sq_fourier",
     "h_half_sq_realspace",
@@ -99,14 +100,26 @@ def h_half_inner(f: SawtoothProfile, g: SawtoothProfile) -> float:
         (f, g) = h^2 / (2 pi^2) sum_{j,l} d_j d'_l Cl_3(2 pi (c_j - c'_l) / h).
 
     The constant zeta(3) of each Cl_3 drops out because the masses of a
-    profile sum to zero; the rounding left grows like m^2 eps.  The
-    rows of f are taken a block at a time, so memory stays bounded.
+    profile sum to zero; the rounding left grows like m^2 eps.
     """
     if abs(f.period - g.period) > 1e-12 * f.period:
         raise InvariantError("h_half_inner requires equal periods")
-    h = f.period
-    cf, cg = np.asarray(f.corners), np.asarray(g.corners)
-    sf, sg = f.slope_after_corners(), g.slope_after_corners()
+    return pair_sum(
+        np.asarray(f.corners), f.slope_after_corners(),
+        np.asarray(g.corners), g.slope_after_corners(), f.period,
+    )
+
+
+def pair_sum(cf: np.ndarray, sf: np.ndarray, cg: np.ndarray, sg: np.ndarray, h: float) -> float:
+    """2 h^2 / pi^2 sum_{j,l} sf_j sg_l (Cl_3 - zeta(3))(2 pi (cf_j - cg_l) / h).
+
+    The pair sum of h_half_inner on bare corner and slope arrays.  It
+    equals the bilinear form whenever the weights of either side sum to
+    zero, so a difference of rows can be summed without a profile.  The
+    rows of f are taken a block at a time, so memory stays bounded.
+    """
+    if len(cf) == 0 or len(cg) == 0:
+        return 0.0
     step = max(1, _BLOCK_ENTRIES // len(cg))
     pairs = 0.0
     for lo in range(0, len(cf), step):

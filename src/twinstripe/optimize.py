@@ -49,7 +49,7 @@ from .model_core import (
     SawtoothProfile,
     l2_distance,
 )
-from .energy import h_half_sq
+from .energy import h_half_sq, pair_sum
 from .one_dim import C0, e1d, make_w_m, optimal_even_m
 
 __all__ = [
@@ -273,24 +273,59 @@ def branched_candidate(params: ModelParams, levels: int, m0: int | None = None) 
 
 
 class _RelaxState:
-    """Energy bookkeeping with incremental updates per changed station."""
+    """Energy bookkeeping of ``relax``: stored parts plus exact probe prices.
+
+    Cell c, between stations c and c+1, keeps a moment table of e_c =
+    p_{c+1} - p_c on the merged nodes of its two profiles (the nodes
+    ``l2_distance`` integrates over): at each node y_k the values of e_c,
+    of its slope, and of the prefix integrals E = int_0^y e_c and Phi =
+    int_0^y E, so Phi is a cubic between nodes.  The stored strain
+    ||e_c||^2 / dx_c comes from the same full-cell integral as
+    ``l2_distance``, bit for bit.  A table is rebuilt only when one of its
+    two stations takes a new profile (``apply``), once per cell however
+    many stations change.
+
+    Probes are priced from the tables without building a profile:
+
+    * Shifting corners i, i+1 of a station by d adds a trapezoid on
+      [c_i + min(d, 0), c_{i+1} + max(d, 0)], of height 2 a d (a the
+      slope before corner i) while |d| <= c_{i+1} - c_i.  Its slope is
+      a zero-mass sum of two boxes of width w = |d| and weight
+      +-2 a sign(d), starting at c_i + min(d, 0) and c_{i+1} + min(d, 0),
+      which holds for every d.  A cell whose stations move by delta_L and
+      delta_R changes its strain by (2 <D, e_c> + ||D||^2) / dx_c, D =
+      delta_R - delta_L; for box weights b_k at x_k,
+
+          <D, e_c> = -sum_k b_k (Phi(x_k + w) - Phi(x_k)),
+          ||D||^2 = -1/2 sum_{k,l} b_k b_l Psi(x_k - x_l),
+          Psi(z) = w^2 |z| + max(w - |z|, 0)^3 / 3.
+
+      A pair shift prices its one or two cells this way, a column shift
+      all n - 1 cells in one array computation.  At station 0 the
+      boundary term changes by the pair sum over rows i and i+1 only.
+    * Shifting the offset of station j by d changes ||e_c||^2 by
+      +-2 d E(h) + d^2 h and leaves the boundary term alone.
+
+    Whole-profile replacements (neighbor copies, topology moves) are
+    priced by ``delta_replace`` from ``l2_distance`` and the pair sum.
+    """
 
     def __init__(self, config: Configuration):
         self.params = config.params
         self.stations = list(config.stations)
         self.profiles = list(config.profiles)
         self.dx = np.diff(np.asarray(self.stations))
-        self.austenite = self._austenite(self.profiles[0])
         n = len(self.profiles)
-        self.strain = [self._strain_cell(j) for j in range(n - 1)]
-        self.surface = [self._surface_cell(j) for j in range(n - 1)]
-        if n == 1:
-            self.single_surface = (
-                self.params.epsilon * self.params.length_L
-                * self.profiles[0].interface_count()
-            )
-        else:
-            self.single_surface = 0.0
+        self.strain = [0.0] * (n - 1)
+        self.surface = [0.0] * (n - 1)
+        self.mass = [0.0] * (n - 1)
+        # moment tables: (y, Phi, E, e / 2, slope / 6) per cell and node,
+        # padded with y = inf past the cell's last node
+        self.table = np.zeros((5, n - 1, 1))
+        self.table[0] = np.inf
+        self.austenite = 0.0
+        self.single_surface = 0.0
+        self.apply(dict(enumerate(self.profiles)))
 
     def _austenite(self, prof: SawtoothProfile) -> float:
         return self.params.beta * h_half_sq(prof)
@@ -305,6 +340,29 @@ class _RelaxState:
             self.profiles[j + 1].interface_count(),
         )
         return self.params.epsilon * float(self.dx[j]) * count
+
+    def _table_cell(self, c: int) -> float:
+        """Rebuild the moment table of cell c and return its strain."""
+        p, q = self.profiles[c], self.profiles[c + 1]
+        ys = np.union1d(p.nodes()[0], q.nodes()[0])
+        e = q.evaluate(ys) - p.evaluate(ys)
+        dy, ea, eb = np.diff(ys), e[:-1], e[1:]
+        total = float(np.sum(dy * (ea * ea + ea * eb + eb * eb) / 3.0))
+        g6 = np.concatenate(((eb - ea) / dy / 6.0, [0.0]))
+        big_e = np.concatenate(([0.0], np.cumsum(dy * (ea + 3.0 * g6[:-1] * dy))))
+        phi = np.cumsum(dy * (big_e[:-1] + dy * (0.5 * ea + dy * g6[:-1])))
+        k = len(ys)
+        if k > self.table.shape[2]:
+            grown = np.zeros(self.table.shape[:2] + (k,))
+            grown[0] = np.inf
+            grown[:, :, : self.table.shape[2]] = self.table
+            self.table = grown
+        self.table[:, c, :k] = (ys, np.concatenate(([0.0], phi)), big_e, 0.5 * e, g6)
+        self.table[1:, c, k:] = 0.0
+        self.table[0, c, k:] = np.inf
+        self.mass[c] = float(big_e[-1])
+        d = math.sqrt(max(total, 0.0))
+        return d * d / float(self.dx[c])
 
     @property
     def total(self) -> float:
@@ -336,16 +394,89 @@ class _RelaxState:
         self.profiles[j] = old
         return delta
 
-    def apply(self, j: int, prof: SawtoothProfile) -> None:
-        self.profiles[j] = prof
-        for c in self._cells_of(j):
-            self.strain[c] = self._strain_cell(c)
+    def offset_delta(self, j: int, d: float) -> float:
+        """Energy change if station j shifted its offset by d."""
+        h = self.profiles[j].period
+        delta = 0.0
+        for c, sign in ((j - 1, 1.0), (j, -1.0)):
+            if 0 <= c < len(self.strain):
+                delta += (sign * 2.0 * d * self.mass[c] + d * d * h) / float(self.dx[c])
+        return delta
+
+    def shift_pricer(self, js: range, i: int):
+        """Function d -> energy change if stations js shifted corners i, i+1 by d.
+
+        js is a run of consecutive stations, each with more than i + 1
+        corners.  Nothing is built, so the pricer may be called for as
+        many steps d as wanted while the state does not change.
+        """
+        n = len(self.profiles)
+        profs = self.profiles[js.start:js.stop]
+        a = np.array([p.slope_after_corners()[i - 1] for p in profs])
+        corners = np.array([p.corners[i:i + 2] for p in profs])
+        if len(js) == 1:
+            # one station: its two boxes enter the cell on its left with
+            # sign + and the cell on its right with sign -
+            cells = [c for c in (js.start - 1, js.start) if 0 <= c < n - 1]
+            signs = np.array([1.0 if c < js.start else -1.0 for c in cells])
+            starts = np.repeat(corners, len(cells), axis=0)
+            weights = np.outer(signs * a, [1.0, -1.0])
+        else:
+            # every station: cell c carries the boxes of both its ends
+            cells = list(range(n - 1))
+            starts = np.hstack((corners[1:], corners[:-1]))
+            weights = np.column_stack((a[1:], -a[1:], -a[:-1], a[:-1]))
+        # weights are the box weights over 2 sign(d), one row per cell
+        rows = np.array(cells, dtype=int)[:, None]
+        ys = self.table[0][rows]
+        boxes = starts.shape[1]
+        dist = np.abs(starts[:, :, None] - starts[:, None, :])
+        pairs = weights[:, :, None] * weights[:, None, :]
+        lin = (pairs * dist).sum(axis=(1, 2))
+        inv_dx = 1.0 / self.dx[cells]
+        boundary = None
+        if js.start == 0:
+            first = self.profiles[0]
+            cs, ss = np.asarray(first.corners), first.slope_after_corners()
+            rest = np.ones(len(cs), dtype=bool)
+            rest[i:i + 2] = False
+            slopes = np.concatenate((ss[i:i + 2], -ss[i:i + 2]))
+            boundary = (cs[i:i + 2], slopes, cs[rest], ss[rest], first.period)
+
+        def price(d: float) -> float:
+            w = abs(d)
+            x = starts + min(d, 0.0)
+            pts = np.concatenate((x, x + w), axis=1)
+            k = (ys <= pts[:, :, None]).sum(axis=2) - 1
+            y0, phi, big_e, e2, g6 = self.table[:, rows, k]
+            t = pts - y0
+            phi = phi + t * (big_e + t * (e2 + t * g6))
+            ends = phi[:, :boxes] - phi[:, boxes:]
+            inner = math.copysign(2.0, d) * (weights * ends).sum(axis=1)
+            cubes = np.maximum(w - dist, 0.0)
+            cubes = (pairs * cubes * cubes * cubes).sum(axis=(1, 2))
+            norm = -2.0 * w * w * lin - (2.0 / 3.0) * cubes
+            delta = float(np.dot(2.0 * inner + norm, inv_dx))
+            if boundary is not None:
+                pair, slopes, cs_rest, ss_rest, h = boundary
+                rows_i = np.concatenate((pair + d, pair))
+                delta += 2.0 * self.params.beta * pair_sum(rows_i, slopes, cs_rest, ss_rest, h)
+            return delta
+
+        return price
+
+    def apply(self, updates: dict[int, SawtoothProfile]) -> None:
+        """Set the given stations' profiles; each touched cell is rebuilt once."""
+        for j, prof in updates.items():
+            self.profiles[j] = prof
+        for c in sorted({c for j in updates for c in self._cells_of(j)}):
+            self.strain[c] = self._table_cell(c)
             self.surface[c] = self._surface_cell(c)
-        if j == 0:
-            self.austenite = self._austenite(prof)
+        if 0 in updates:
+            self.austenite = self._austenite(self.profiles[0])
         if len(self.profiles) == 1:
             self.single_surface = (
-                self.params.epsilon * self.params.length_L * prof.interface_count()
+                self.params.epsilon * self.params.length_L * self.profiles[0].interface_count()
             )
 
     def config(self) -> Configuration:
@@ -366,7 +497,10 @@ def _shift_pair(prof: SawtoothProfile, i: int, delta: float) -> SawtoothProfile 
     """Move corners i and i+1 together; None when the order would break.
 
     Shifting an adjacent pair lengthens one gap and shortens another of
-    the same rise/fall parity, so the closure balance is untouched.
+    the same rise/fall parity, so the closure balance is untouched and
+    every slope stays with its corner.  A corner at 0 can only move up;
+    the segment through 0 is then the wrap segment, whose slope becomes
+    the initial one.
     """
     if i + 1 >= len(prof.corners):
         return None
@@ -374,9 +508,12 @@ def _shift_pair(prof: SawtoothProfile, i: int, delta: float) -> SawtoothProfile 
     if not (lo < delta < hi):
         return None
     cs = list(prof.corners)
+    init = prof.initial_slope
+    if cs[0] == 0.0 and i == 0:
+        init = int(prof.slope_after_corners()[-1])
     cs[i] += delta
     cs[i + 1] += delta
-    return SawtoothProfile(prof.period, prof.offset, prof.initial_slope, tuple(cs))
+    return SawtoothProfile(prof.period, prof.offset, init, tuple(cs))
 
 
 def _rebuild_from_gaps(
@@ -491,6 +628,14 @@ def relax(
     so the energy sequence never increases.  Stops after max_iters
     sweeps, when a sweep accepts nothing, or when a full sweep improves
     by less than tol_energy.
+
+    The line search probes +-s, then tries the parabolic vertex through
+    them clipped to 0.999 (lo, hi).  Pair, offset and column probes are
+    priced exactly from per-cell moment tables (a trapezoid added to one
+    profile, a constant, a trapezoid added to every profile; see
+    ``_RelaxState``), so a profile is built only for an accepted move;
+    stored strains still come from the full-cell integral.  Neighbor
+    copies and topology moves are priced by re-integrating their cells.
     """
     state = _RelaxState(start)
     if history is not None:
@@ -498,94 +643,67 @@ def relax(
     floor = 1e-15 * max(1.0, abs(state.total))
     accepted = False
 
-    def try_move(j: int, cand: SawtoothProfile | None) -> bool:
+    def accept(updates: dict[int, SawtoothProfile]) -> None:
         nonlocal accepted
-        if cand is None:
-            return False
-        delta = state.delta_replace(j, cand)
-        if delta < -floor:
-            state.apply(j, cand)
-            accepted = True
-            if history is not None:
-                history.append(state.total)
-            return True
-        return False
+        state.apply(updates)
+        accepted = True
+        if history is not None:
+            history.append(state.total)
 
-    def line_search(prof: SawtoothProfile, lo: float, hi: float, delta_at) -> list[float]:
-        # probe both directions, then try the parabolic vertex first
-        s = prof.period / (32.0 * len(prof.corners))
+    def try_move(j: int, cand: SawtoothProfile | None) -> None:
+        if cand is not None and state.delta_replace(j, cand) < -floor:
+            accept({j: cand})
+
+    def line_search(s: float, lo: float, hi: float, delta_at) -> float | None:
+        # probe both directions; take the parabolic vertex if it lowers
+        # the energy, else the first probe that does
         probes = [(d, delta_at(d)) for d in (s, -s) if lo < d < hi]
-        cands = [d for d, val in probes if val < -floor]
         if len(probes) == 2:
             dp, dm = probes[0][1], probes[1][1]
             a, b = (dp + dm) / (2.0 * s * s), (dp - dm) / (2.0 * s)
             if a > 0.0 and abs(b) > 0.0:
-                cands.insert(0, float(np.clip(-b / (2.0 * a), lo * 0.999, hi * 0.999)))
-        return cands
+                d = float(np.clip(-b / (2.0 * a), lo * 0.999, hi * 0.999))
+                if lo < d < hi and delta_at(d) < -floor:
+                    return d
+        return next((d for d, val in probes if val < -floor), None)
+
+    def step(prof: SawtoothProfile) -> float:
+        return prof.period / (32.0 * len(prof.corners))
 
     def pair_move(j: int, i: int) -> None:
         prof = state.profiles[j]
-        lo, hi = _shift_range(prof, i)
-        steps = line_search(
-            prof, lo, hi, lambda d: state.delta_replace(j, _shift_pair(prof, i, d))
-        )
-        for d in steps:
-            if try_move(j, _shift_pair(state.profiles[j], i, d)):
-                return
-
-    def column_delta(shifted: list[SawtoothProfile]) -> float:
-        delta = state._austenite(shifted[0]) - state.austenite
-        for c in range(n - 1):
-            d = l2_distance(shifted[c], shifted[c + 1])
-            delta += d * d / float(state.dx[c]) - state.strain[c]
-        return delta
+        d = line_search(step(prof), *_shift_range(prof, i), state.shift_pricer(range(j, j + 1), i))
+        if d is not None:
+            accept({j: _shift_pair(prof, i, d)})
 
     def column_topology(maker) -> None:
         # teeth appear or vanish across the whole rectangle at once;
         # one station alone never pays because the cell surface term
         # takes the larger endpoint count
-        nonlocal accepted
         cands = [maker(p) for p in state.profiles]
         if any(q is None for q in cands):
             return
-        delta = column_delta(cands)
+        delta = state._austenite(cands[0]) - state.austenite
+        for c in range(n - 1):
+            d = l2_distance(cands[c], cands[c + 1])
+            delta += d * d / float(state.dx[c]) - state.strain[c]
         for c in range(n - 1):
             count = max(cands[c].interface_count(), cands[c + 1].interface_count())
             delta += state.params.epsilon * float(state.dx[c]) * count - state.surface[c]
         if delta < -floor:
-            for j, q in enumerate(cands):
-                state.apply(j, q)
-            accepted = True
-            if history is not None:
-                history.append(state.total)
+            accept(dict(enumerate(cands)))
 
     def column_move(i: int) -> None:
-        nonlocal accepted
         ranges = [_shift_range(p, i) for p in state.profiles]
         lo = max(r[0] for r in ranges)
         hi = min(r[1] for r in ranges)
-        steps = line_search(
-            state.profiles[0],
-            lo,
-            hi,
-            lambda d: column_delta([_shift_pair(p, i, d) for p in state.profiles]),
-        )
-        for d in steps:
-            if not (lo < d < hi):
-                continue
-            shifted = [_shift_pair(p, i, d) for p in state.profiles]
-            if column_delta(shifted) < -floor:
-                for j, q in enumerate(shifted):
-                    state.apply(j, q)
-                accepted = True
-                if history is not None:
-                    history.append(state.total)
-                return
+        d = line_search(step(state.profiles[0]), lo, hi, state.shift_pricer(range(n), i))
+        if d is not None:
+            accept({j: _shift_pair(p, i, d) for j, p in enumerate(state.profiles)})
 
     def uniform_move() -> None:
         # cascade of neighbor copies: one station's profile everywhere,
         # wiping the strain in a single accepted step
-        nonlocal accepted
         strain_now = sum(state.strain)
         best_j, best_delta = -1, -floor
         for j, prof in enumerate(state.profiles):
@@ -596,12 +714,7 @@ def relax(
             if delta < best_delta:
                 best_j, best_delta = j, delta
         if best_j >= 0:
-            winner = state.profiles[best_j]
-            for j in range(n):
-                state.apply(j, winner)
-            accepted = True
-            if history is not None:
-                history.append(state.total)
+            accept(dict.fromkeys(range(n), state.profiles[best_j]))
 
     n = len(state.profiles)
     for sweep in range(opts.max_iters):
@@ -613,12 +726,12 @@ def relax(
                 try_move(j, state.profiles[j - 1])
             if j < n - 1:
                 try_move(j, state.profiles[j + 1])
-            m = len(state.profiles[j].corners)
-            for i in range(m - 1):
+            for i in range(len(state.profiles[j].corners) - 1):
                 pair_move(j, i)
-            s = state.profiles[j].period / (32.0 * m)
+            s = step(state.profiles[j])
             for d in (s, -s, s / 8.0, -s / 8.0):
-                try_move(j, state.profiles[j].with_offset_shift(d))
+                if state.offset_delta(j, d) < -floor:
+                    accept({j: state.profiles[j].with_offset_shift(d)})
             if opts.topology_moves:
                 p = state.profiles[j]
                 try_move(j, _annihilate_tooth(p))

@@ -11,6 +11,7 @@ from twinstripe.model_core import (
     ModelParams,
     SawtoothProfile,
     l2_distance,
+    random_profile,
 )
 from twinstripe.energy import strain_energy, surface_energy, total_energy
 from twinstripe.one_dim import C0, e1d, make_w_m, optimal_even_m
@@ -223,6 +224,147 @@ def test_relax_is_deterministic():
     a = op.relax(start, opts)
     b = op.relax(start, opts)
     assert a.profiles == b.profiles
+
+
+# Accepted-move counts and final energies of the descent before probes
+# were priced from the moment tables (each probe built the moved profile
+# and re-integrated its cells).  Exact pricing changes only rounding, so
+# the descent must accept the same moves and land on the same energy.
+RECORDED_DESCENTS = {
+    # (stations, seed, max_iters): (accepted moves, final total)
+    (8, 9, 80): (29, 0.00826278398817507),
+    (5, 3, 25): (19, 0.008262783988175133),
+}
+
+
+@pytest.mark.parametrize("stations,seed,max_iters", sorted(RECORDED_DESCENTS))
+def test_relax_accepts_the_recorded_moves(stations, seed, max_iters):
+    params = ModelParams(1e-2, 1e-3, 1.0, 1.0)
+    m = optimal_even_m(params).m_star[0]
+    start = jittered_striped(params, m, stations, seed=seed)
+    hist = []
+    op.relax(start, op.RelaxOptions(max_iters=max_iters), history=hist)
+    moves, total = RECORDED_DESCENTS[(stations, seed, max_iters)]
+    assert len(hist) - 1 == moves
+    assert abs(hist[-1] - total) <= 1e-12 * total
+
+
+def trapezoid(prof, i, d, y):
+    """new - old for corners i, i+1 of prof shifted by d, at the points y."""
+    a = prof.slope_after_corners()[i - 1]
+    lo, w = min(d, 0.0), abs(d)
+    ramp = lambda c: np.clip(y - (c + lo), 0.0, w)
+    return 2.0 * a * math.copysign(1.0, d) * (ramp(prof.corners[i]) - ramp(prof.corners[i + 1]))
+
+
+def test_shift_pair_moves_a_corner_off_zero_without_flipping_slopes():
+    params = ModelParams(1e-2, 1e-3, 1.0, 1.0)
+    prof = make_w_m(4, params)
+    assert prof.corners[0] == 0.0
+    moved = op._shift_pair(prof, 0, 0.01)
+    np.testing.assert_array_equal(moved.slope_after_corners(), prof.slope_after_corners())
+    y = (np.arange(64) + 0.5) / 64.0
+    np.testing.assert_allclose(
+        moved.evaluate(y) - prof.evaluate(y), trapezoid(prof, 0, 0.01, y), rtol=0, atol=1e-15
+    )
+    assert moved.evaluate(0.25) == pytest.approx(0.23, abs=1e-15)
+
+
+def _pair_cases(state):
+    """(station, pair, step) covering both ends of the pair range and both signs."""
+    n = len(state.profiles)
+    for j in sorted({0, n // 2, n - 1}):
+        m = len(state.profiles[j].corners)
+        for i in sorted({0, m - 2}):
+            lo, hi = op._shift_range(state.profiles[j], i)
+            for d in (0.5 * hi, 0.5 * lo, 0.9 * hi, 1e-3 * lo):
+                if lo < d < hi and d != 0.0:
+                    yield j, i, d
+
+
+def _check_probe_prices(config):
+    state = op._RelaxState(config)
+    n = len(state.profiles)
+    h = config.params.height_h
+    cells = lambda j: [c for c in (j - 1, j) if 0 <= c < n - 1]
+    checked = 0
+    for j, i, d in _pair_cases(state):
+        moved = op._shift_pair(state.profiles[j], i, d)
+        exact = state.shift_pricer(range(j, j + 1), i)(d)
+        full = state.delta_replace(j, moved)
+        norm = l2_distance(moved, state.profiles[j]) ** 2
+        scale = abs(state.austenite) + sum(
+            state.strain[c] + norm / state.dx[c] for c in cells(j)
+        )
+        assert abs(exact - full) <= 1e-12 * max(1e-300, scale), (j, i, d, exact, full)
+        checked += 1
+    for j in range(n):
+        for d in (1e-2 * h, -3e-3 * h):
+            full = state.delta_replace(j, state.profiles[j].with_offset_shift(d))
+            scale = abs(state.austenite) + sum(
+                state.strain[c] + d * d * h / state.dx[c] for c in cells(j)
+            )
+            assert abs(state.offset_delta(j, d) - full) <= 1e-12 * max(1e-300, scale)
+    return checked
+
+
+def test_pair_and_offset_prices_match_full_recompute():
+    params = ModelParams(1e-2, 1e-3, 1.0, 1.0)
+    m = optimal_even_m(params).m_star[0]
+    for stations, seed in ((8, 9), (5, 3), (2, 1)):
+        assert _check_probe_prices(jittered_striped(params, m, stations, seed)) > 0
+    # two corners: the boundary term has no other rows to change against
+    assert _check_probe_prices(jittered_striped(params, 2, 3, seed=6)) > 0
+    # a station corner at 0 (the pair through it can only move up)
+    assert _check_probe_prices(op.striped_candidate(params, stations=4)) > 0
+    # one station: only the boundary term moves
+    single = Configuration(params, (0.0,), (jittered_striped(params, m, 2, 5).profiles[0],))
+    assert _check_probe_prices(single) > 0
+
+
+def test_pair_prices_match_next_to_a_different_corner_count():
+    params = ModelParams(1e-2, 1e-3, 1.0, 1.0)
+    start = jittered_striped(params, 4, 5, seed=3)
+    profiles = list(start.profiles)
+    profiles[2] = op._create_tooth(profiles[2])
+    profiles[0] = op._create_tooth(profiles[0])
+    assert [p.interface_count() for p in profiles] == [6, 4, 6, 4, 4]
+    assert _check_probe_prices(Configuration(params, start.stations, tuple(profiles))) > 0
+
+
+def test_column_prices_match_full_recompute():
+    params = ModelParams(1e-2, 1e-3, 1.0, 1.0)
+    m = optimal_even_m(params).m_star[0]
+    # random stations share a corner count, not a slope pattern
+    rng = np.random.default_rng(8)
+    mixed = tuple(random_profile(rng, n_teeth=2, min_gap_frac=0.3) for _ in range(4))
+    assert len({tuple(p.slope_after_corners()) for p in mixed}) > 1
+    configs = (
+        jittered_striped(params, m, 6, seed=4),
+        op.striped_candidate(params, 3),
+        Configuration(params, (0.0, 0.2, 0.7, 1.0), mixed),
+    )
+    checked = 0
+    for config in configs:
+        state = op._RelaxState(config)
+        n = len(state.profiles)
+        for i in range(len(state.profiles[0].corners) - 1):
+            ranges = [op._shift_range(p, i) for p in state.profiles]
+            lo, hi = max(r[0] for r in ranges), min(r[1] for r in ranges)
+            for d in (0.5 * hi, 0.5 * lo, 0.9 * hi):
+                if not (lo < d < hi and d != 0.0):
+                    continue
+                moved = [op._shift_pair(p, i, d) for p in state.profiles]
+                full = op._RelaxState(Configuration(params, config.stations, tuple(moved))).total
+                full -= state.total
+                norms = [l2_distance(q, p) ** 2 for p, q in zip(state.profiles, moved)]
+                scale = abs(state.austenite) + sum(
+                    state.strain[c] + (norms[c] + norms[c + 1]) / state.dx[c] for c in range(n - 1)
+                )
+                exact = state.shift_pricer(range(n), i)(d)
+                assert abs(exact - full) <= 1e-12 * scale, (i, d, exact, full)
+                checked += 1
+    assert checked >= 12
 
 
 # -- phase sweep -----------------------------------------------------------------
