@@ -91,6 +91,33 @@ def _clausen3_less_zeta3(theta: np.ndarray) -> np.ndarray:
     return log_part - 0.75 * t2 - series
 
 
+# zeta(2n) / (n (2n+1)) for n = 30..1, then 0: the power series of Cl_2
+# in (theta / 2 pi)^2 (DLMF 25.12), highest power first
+_CL2_SERIES = np.array([_zeta(2 * n) / (n * (2 * n + 1)) for n in range(30, 0, -1)] + [0.0])
+_TWO_PI_LO = 2.4492935982947064e-16  # 2 pi minus its nearest double
+
+
+def _clausen2(theta: np.ndarray) -> np.ndarray:
+    """Cl_2(theta) = sum_k sin(k theta) / k^2 for any real theta.
+
+    Cl_2 is odd and 2 pi periodic: |theta| loses its whole turns, with
+    2 pi carried to twice double precision so a theta near a turn keeps
+    its distance to it, and is folded onto [0, pi].  There Cl_2 = theta
+    - theta ln theta plus theta times the series above.
+    """
+    theta = np.asarray(theta, dtype=float)
+    a = np.abs(theta)
+    r = np.fmod(a, 2.0 * np.pi)  # exact
+    lo = np.rint((a - r) / (2.0 * np.pi)) * _TWO_PI_LO
+    far = r > np.pi  # past pi, fold through the next turn
+    t = np.where(far, (2.0 * np.pi - r) + (lo + _TWO_PI_LO), r - lo)
+    sign = np.where((theta < 0.0) != (far | (t < 0.0)), -1.0, 1.0)
+    t = np.abs(t)
+    log_part = t * np.log(np.where(t > 0.0, t, 1.0))
+    series = t * np.polyval(_CL2_SERIES, t * t / (4.0 * np.pi**2))
+    return sign * (t - log_part + series)
+
+
 def h_half_inner(f: SawtoothProfile, g: SawtoothProfile) -> float:
     """Bilinear form 4 pi^2 sum_k |k| Re(conj(fhat) ghat), summed exactly.
 

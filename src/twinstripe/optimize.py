@@ -331,6 +331,8 @@ class _RelaxState:
         return self.params.beta * h_half_sq(prof)
 
     def _strain_cell(self, j: int) -> float:
+        if self.profiles[j] is self.profiles[j + 1]:
+            return 0.0  # a neighbor copy: l2_distance(p, p) is exactly 0
         d = l2_distance(self.profiles[j], self.profiles[j + 1])
         return d * d / float(self.dx[j])
 

@@ -176,3 +176,43 @@ def l2_distance_reference(p, q, window=None):
         vb = evaluate_reference(p, right) - evaluate_reference(q, right)
         total += float(np.sum((right - left) * (va * va + va * vb + vb * vb) / 3.0))
     return math.sqrt(max(total, 0.0))
+
+
+def interval_pairing_mp(w, u0, lo: float, hi: float, dps: int = 20) -> float:
+    """Integral of (H w')(y) (u0(y) - w(y)) dy over [lo, hi] by mpmath quadrature.
+
+    H w' = 2 sum_j (2 s_j) log|2 sin(pi (y - z_j) / h)| has a log
+    singularity at every image of a corner z_j of w, and u0 - w is
+    linear between the corners of both profiles.  The window is cut at
+    all of them, and each panel is integrated by tanh-sinh quadrature,
+    which takes endpoint log singularities in its stride.
+    """
+    h = w.period
+    cuts = {float(lo), float(hi)}
+    for prof in (w, u0):
+        for c in prof.corners:
+            n = math.ceil((lo - c) / h)
+            while c + n * h < hi:
+                if c + n * h > lo:
+                    cuts.add(float(c + n * h))
+                n += 1
+    cuts = sorted(cuts)
+    diff = np.asarray(u0.evaluate(cuts)) - np.asarray(w.evaluate(cuts))
+    with mp.workdps(dps):
+        hh = mp.mpf(h)
+        terms = [(mp.mpf(c), 4 * int(s)) for c, s in zip(w.corners, w.slope_after_corners())]
+
+        def log_term(y, z):
+            # a node rounded onto a corner: a single point, worth nothing
+            s = abs(2 * mp.sin(mp.pi * (y - z) / hh))
+            return mp.log(s) if s else mp.mpf(0)
+
+        def hilbert_slope(y):
+            return mp.fsum(j * log_term(y, z) for z, j in terms)
+
+        total = mp.mpf(0)
+        for a, b, da, db in zip(cuts[:-1], cuts[1:], diff[:-1], diff[1:]):
+            a, b, da, db = mp.mpf(a), mp.mpf(b), mp.mpf(da), mp.mpf(db)
+            slope = (db - da) / (b - a)
+            total += mp.quad(lambda y: hilbert_slope(y) * (da + slope * (y - a)), [a, b])
+        return float(total)

@@ -204,12 +204,9 @@ def test_08_pairing_dual_routes():
             continue  # trace already matched, both routes are zero
         tested += 1
         spectral = h_half_inner(w, u0) - h_half_sq(w)
-        quadrature = sum(
-            loc._integrate_pairing(w, u0, *part.interval(k))
-            for k in range(part.count)
-        )
-        worst = max(worst, abs(spectral - quadrature) / abs(spectral))
-    _verdict(8, "pairing dual routes", worst < 1e-6, f"max rel err {worst:.3e} on {tested} pairs")
+        exact = float(np.sum(loc._interval_pairings(w, u0, part)))
+        worst = max(worst, abs(spectral - exact) / abs(spectral))
+    _verdict(8, "pairing dual routes", worst < 1e-9, f"max rel err {worst:.3e} on {tested} pairs")
 
 
 def test_09_localization_recomposition_and_matching():

@@ -2,17 +2,22 @@
 
 import argparse
 import copy
+import dataclasses
+import importlib
+import inspect
 import json
 import math
+import pkgutil
 
 import numpy as np
 
+import twinstripe
 from twinstripe import cli
 from twinstripe.cli import main
 from twinstripe.energy import total_energy
 from twinstripe.model_core import Configuration, ModelParams, NonConvergenceError
 from twinstripe.one_dim import optimal_even_m
-from twinstripe.optimize import MAX_BUILD_CORNERS, striped_candidate
+from twinstripe.optimize import MAX_BUILD_CORNERS, RelaxOptions, SweepGrid, striped_candidate
 
 
 def run_cli(capsys, *argv):
@@ -286,6 +291,64 @@ def test_option_surface_is_pinned():
     assert _option_strings(parser) == set()
     (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     assert {name: _option_strings(sub) for name, sub in subs.choices.items()} == OPTIONS
+
+
+# Defaulted parameters of every public function, and the option fields.
+LIBRARY_TUNABLES = {
+    "model_core.l2_distance": {"window"},
+    "model_core.random_profile": {"period", "n_teeth", "max_teeth", "min_gap_frac"},
+    "energy.h_half_sq_fourier": {"cutoff"},
+    "energy.h_half_sq_realspace": {"quad_nodes", "images"},
+    "energy.periodized_kernel": {"images", "rtol"},
+    "energy.austenite_energy": {"beta"},
+    "energy.l2_norm_sq": {"window"},
+    "one_dim.make_w_m": {"y0", "a0"},
+    "one_dim.cs_asymptotic_check": {"regime_factor"},
+    "chessboard.juxtapose": {"z_start"},
+    "chessboard.check_master_inequality": {"alphas", "integrate", "nodes"},
+    "chessboard.bump_alpha_energy": {"nodes"},
+    "chessboard.profile_alpha_energy": {"nodes"},
+    "chessboard.kernel_identity_check": {"ds", "nodes"},
+    "chessboard.random_segment": {"max_pieces"},
+    "chessboard.verify_suite": {"trials", "seed", "alphas"},
+    "localization.hilbert_transform": {"cutoff", "derivative", "period"},
+    "localization.bmo_seminorm": {"min_width_frac"},
+    "localization.classify_intervals": {"eta", "kappa"},
+    "localization.classification_sensitivity": {"eta", "kappa"},
+    "localization.certificate_check": {"eta", "kappa"},
+    "optimize.branched_candidate": {"m0"},
+    "optimize.phase_sweep": {"levels_max", "relax_opts"},
+    "optimize.relax": {"history"},
+    "optimize.striped_candidate": {"stations"},
+    "cli.main": {"argv"},
+    "optimize.RelaxOptions": {"max_iters", "tol_energy", "topology_moves"},
+    "optimize.SweepGrid": {"beta_values", "epsilon_values", "compare"},
+}
+
+
+def _library_tunables():
+    found = {}
+    for info in pkgutil.iter_modules(twinstripe.__path__):
+        module = importlib.import_module(f"twinstripe.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            obj = getattr(module, name)
+            if not inspect.isfunction(obj):
+                continue
+            params = inspect.signature(obj).parameters.values()
+            defaulted = {p.name for p in params if p.default is not p.empty}
+            if defaulted:
+                found[f"{info.name}.{name}"] = defaulted
+    for cls in (RelaxOptions, SweepGrid):
+        found[f"optimize.{cls.__name__}"] = {f.name for f in dataclasses.fields(cls)}
+    return found
+
+
+def test_library_tunable_surface_is_pinned():
+    assert _library_tunables() == LIBRARY_TUNABLES
+    # the tunable count tracked in ROADMAP.md: CLI flags per subcommand
+    # plus the library surface above
+    flags = sum(len(opts) for opts in OPTIONS.values())
+    assert flags + sum(len(names) for names in LIBRARY_TUNABLES.values()) == 87
 
 
 def test_cutoff_flag_is_gone(tmp_path, capsys):

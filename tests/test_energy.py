@@ -30,6 +30,8 @@ from twinstripe.energy import (
     total_energy,
 )
 
+import mpmath as mp
+
 from oracles import (
     C0_EXACT,
     h_half_inner_closed_form,
@@ -108,6 +110,18 @@ def test_pair_sum_matches_trilogarithm_oracle():
         scale = math.sqrt(h_half_sq(f) * h_half_sq(g))
         exact = h_half_inner_closed_form(f, g)
         assert abs(h_half_inner(f, g) - exact) <= 1e-12 * max(abs(exact), scale)
+
+
+def test_clausen2_matches_mpmath():
+    # odd and 2 pi periodic: the folding must keep the float argument's
+    # distance to the nearest multiple of 2 pi, where Cl_2' is infinite
+    theta = np.concatenate((
+        [0.0, 1e-300, -1e-300, 1e-9, -1e-9, np.pi, -np.pi],
+        2.0 * np.pi * np.arange(-2, 3),
+        np.linspace(-4.0 * np.pi, 4.0 * np.pi, 1001),
+    ))
+    ref = np.array([float(mp.clsin(2, mp.mpf(float(t)))) for t in theta])
+    assert np.max(np.abs(energy._clausen2(theta) - ref)) < 1e-15
 
 
 def test_pair_sum_equispaced_constant_up_to_1024_teeth():

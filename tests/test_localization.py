@@ -27,6 +27,9 @@ from twinstripe.energy import (
 )
 from twinstripe.one_dim import C0, make_w_m, optimal_even_m
 from twinstripe import localization as loc
+from twinstripe.optimize import striped_candidate
+
+from oracles import interval_pairing_mp
 
 
 UNIT = ModelParams(1.0, 1.0, 1.0, 1.0)
@@ -124,8 +127,8 @@ def test_slope_transform_closed_form_tracks_spectral_series():
 
 
 def test_pairing_integral_matches_spectral_inner_product():
-    # dual evaluation of (w, u0 - w): graded log quadrature per interval
-    # against the spectral inner product of the full traces
+    # dual evaluation of (w, u0 - w): exact pairing per interval against
+    # the corner-pair sum of the full traces
     rng = np.random.default_rng(101)
     kept = 0
     for _ in range(50):
@@ -137,12 +140,39 @@ def test_pairing_integral_matches_spectral_inner_product():
             continue  # trace already matched, both routes are zero
         kept += 1
         spectral = h_half_inner(cmp.profile, u0) - h_half_sq(cmp.profile)
-        quadrature = sum(
-            loc._integrate_pairing(cmp.profile, u0, *part.interval(k))
-            for k in range(part.count)
-        )
-        assert abs(spectral - quadrature) < 1e-6 * abs(spectral)
+        exact = float(np.sum(loc._interval_pairings(cmp.profile, u0, part)))
+        assert abs(spectral - exact) < 1e-13
     assert kept >= 35
+
+
+def test_interval_pairings_match_mpmath_quadrature():
+    rng = np.random.default_rng(7)
+    tested = 0
+    while tested < 6:
+        u1 = random_profile(rng, 1.0, int(rng.integers(2, 6)))
+        u0 = random_profile(rng, 1.0, int(rng.integers(2, 6)))
+        part = loc.build_partition(u1)
+        cmp = loc.build_comparison(u0, part)
+        if l2_distance(u0, cmp.profile) < 1e-6:
+            continue
+        tested += 1
+        exact = loc._interval_pairings(cmp.profile, u0, part)
+        assert exact.shape == (part.count,)
+        for k in range(part.count):
+            ref = interval_pairing_mp(cmp.profile, u0, *part.interval(k))
+            assert abs(exact[k] - ref) < 1e-13, (tested, k)
+
+
+def test_interval_pairings_blocks_match_single_block(monkeypatch):
+    rng = np.random.default_rng(9)
+    u0 = random_profile(rng, 1.0, 7)
+    part = loc.build_partition(random_profile(rng, 1.0, 5))
+    w = loc.build_comparison(u0, part).profile
+    monkeypatch.setattr(loc, "_BLOCK_ENTRIES", 2**40)
+    whole = loc._interval_pairings(w, u0, part)
+    for rows in (1, 2, 7):
+        monkeypatch.setattr(loc, "_BLOCK_ENTRIES", rows * len(w.corners))
+        assert np.max(np.abs(loc._interval_pairings(w, u0, part) - whole)) <= 1e-15
 
 
 # -- oscillation seminorm ------------------------------------------------------
@@ -439,6 +469,27 @@ def test_certificate_accepts_striped_candidate():
     assert '"certified": true' in text
 
 
+def test_matched_intervals_report_zero_cbar():
+    # the bench pair recipe: one interior pair shifted, the trace untouched,
+    # so u0 - w is rounding noise on every interval and must not set cbar
+    params = ModelParams(1e-3, 1e-5, 1.0, 1.0)
+    config = striped_candidate(params, stations=5)
+    prof = config.profiles[2]
+    cs = list(prof.corners)
+    cs[4] += 0.06 / 14
+    cs[5] += 0.06 / 14
+    bent = SawtoothProfile(1.0, prof.offset, prof.initial_slope, tuple(cs))
+    report = loc.certificate_check(config.replace_profile(2, bent))
+    matched = [
+        e for t, e in zip(report.terms, report.errors)
+        if e.err / math.sqrt(t.width) <= loc.MATCH_FLOOR
+    ]
+    assert len(matched) == report.m // 2
+    assert all(e.cbar == 0.0 for e in matched)
+    assert report.cbar == 0.0
+    assert report.excess > 1e-6 and report.certified
+
+
 def test_certificate_flags_interior_column_shift():
     # moving one tooth pair at an interior station adds strain that the
     # local shares see while the trace terms stay zero
@@ -465,7 +516,7 @@ def test_certificate_cross_checks_pairing_routes():
     config = two_station_config(u0, u1, beta=0.5, epsilon=0.1)
     report = loc.certificate_check(config)
     assert report.pairing_quadrature == pytest.approx(
-        report.pairing_spectral, rel=1e-5, abs=1e-9
+        report.pairing_spectral, rel=1e-12, abs=1e-14
     )
     assert report.interpolation_max is None or report.interpolation_max < 10.0
     assert math.isfinite(report.excess)
