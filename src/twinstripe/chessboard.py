@@ -17,6 +17,13 @@ Everything here is piecewise linear, so every kernel integral reduces
 to a closed form per cell pair; quadrature appears only in the explicit
 alpha-integration helpers (log-grid Simpson with analytic corrections
 for both tails) and in test oracles.
+
+The two kernels, the screened energy and the periodic cross energy,
+work on groups: cells of many collections stacked row-wise, with the
+row where each collection starts, priced at every alpha in one call.
+The public checks hand them the groups of one case; verify_suite hands
+them the groups of a whole block of cases, so a randomized suite costs
+a few array calls per block instead of a few per case and alpha.
 """
 
 from __future__ import annotations
@@ -27,7 +34,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model_core import InvariantError, SawtoothProfile
+from .energy import _BLOCK_ENTRIES
+from .model_core import InvariantError, SawtoothProfile, random_profile
 from .one_dim import C0
 
 __all__ = [
@@ -226,27 +234,80 @@ def _cell_tables(cells: np.ndarray, alphas: np.ndarray):
     return L, R, diag
 
 
-def _screened_many(cells: np.ndarray, alphas: np.ndarray, tables=None) -> np.ndarray:
-    """Screened energies (one per alpha) of a cell collection; tables, if
-    given, are _cell_tables(cells, alphas) with the cells in given order."""
-    order = np.argsort(cells[:, 0], kind="stable")
-    cells = cells[order]
-    a, b = cells[:, 0], cells[:, 1]
-    if np.any(a[1:] - b[:-1] < -_OVERLAP_TOL):
+def _group_starts(blocks) -> np.ndarray:
+    """Row offsets of consecutive cell blocks stacked with np.vstack."""
+    sizes = [len(block) for block in blocks]
+    return np.cumsum([0] + sizes[:-1], dtype=np.intp)
+
+
+def _group_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """np.sum of each group of columns of values, bit for bit, shape (A, G).
+
+    np.add.reduceat alone adds x0 + (x1 + ...); a zero column leading
+    each group makes it add 0 + (x0 + ...), which is how np.sum adds a
+    C-ordered row.
+    """
+    padded = np.insert(np.ascontiguousarray(values), starts, 0.0, axis=1)
+    return np.add.reduceat(padded, starts + np.arange(starts.size), axis=1)
+
+
+def _screened_groups(cells: np.ndarray, starts, alphas: np.ndarray, tables=None) -> np.ndarray:
+    """Screened energies of many cell collections at once, shape (G, A).
+
+    Group g holds the rows starts[g] up to starts[g + 1] of cells, in any
+    order.  tables, if given, are _cell_tables(cells, alphas) with the
+    cells in given order.  The cross terms follow the carry recurrence
+    left to right; one step advances every group still running, at
+    every alpha, so the loop runs over positions up to the longest
+    group, never over groups.  The diagonal terms are summed per group
+    as np.sum adds them (_group_sums), or left to right when tables are
+    given: the periodic kernel passes its tables and has always summed
+    its periods that way, which keeps its results bit for bit.
+    """
+    starts = np.asarray(starts, dtype=np.intp)
+    n = cells.shape[0]
+    lengths = np.diff(starts, append=n)
+    first = np.zeros(n, dtype=bool)
+    first[starts] = True
+    inner = ~first[1:]  # cell i + 1 follows cell i in the same group
+    a = cells[:, 0]
+    if np.any(inner & (a[1:] < a[:-1])):
+        order = np.lexsort((a, np.repeat(np.arange(starts.size), lengths)))
+        cells = cells[order]
+        a = cells[:, 0]
+        if tables is not None:
+            tables = tuple(t[:, order] for t in tables)
+    b = cells[:, 1]
+    if np.any(inner & (a[1:] - b[:-1] < -_OVERLAP_TOL)):
         raise InvariantError("cells must not overlap")
+    left_to_right = tables is not None
     if tables is None:
-        L, R, diag = _cell_tables(cells, alphas)
+        tables = _cell_tables(cells, alphas)
+    L, R, diag = tables
+    al = alphas[:, None]
+    decay = np.exp(-al * np.maximum(a[1:] - a[:-1], 0.0))
+    feed = L[:, :-1] * np.exp(-al * np.maximum(a[1:] - b[:-1], 0.0))
+    # step j feeds cell j of every group into its cell j + 1; a group
+    # that has ended steps on with decay 1 and nothing fed or collected
+    steps = np.arange(int(lengths.max()) - 1)[:, None]
+    running = steps < lengths - 1
+    prev = np.where(running, starts + steps, 0)
+    decay_at = np.where(running, decay[:, prev], 1.0)
+    feed_at = np.where(running, feed[:, prev], 0.0)
+    right_at = np.where(running, R[:, prev + 1], 0.0)
+    if left_to_right:
+        total = diag[:, starts]
+        diag_at = np.where(running, diag[:, prev + 1], 0.0)
     else:
-        L, R, diag = (t[:, order] for t in tables)
-    total = diag.sum(axis=1)
-    cross = np.zeros_like(alphas)
-    carry = np.zeros_like(alphas)
-    for j in range(1, cells.shape[0]):
-        step_a = max(a[j] - a[j - 1], 0.0)
-        step_b = max(a[j] - b[j - 1], 0.0)
-        carry = carry * np.exp(-alphas * step_a) + L[:, j - 1] * np.exp(-alphas * step_b)
-        cross += carry * R[:, j]
-    return -(total + 2.0 * cross)
+        total = _group_sums(diag, starts)
+    carry = np.zeros((alphas.size, starts.size))
+    cross = np.zeros_like(carry)
+    for j in range(steps.size):
+        carry = carry * decay_at[:, j] + feed_at[:, j]
+        cross += carry * right_at[:, j]
+        if left_to_right:
+            total += diag_at[:, j]
+    return -(total + 2.0 * cross).T
 
 
 def _check_alpha(alpha: float) -> None:
@@ -263,27 +324,38 @@ def screened_energy(w, alpha: float) -> float:
         cells = w.cells
     else:
         cells = np.asarray(w, dtype=float)
-    return float(_screened_many(cells, np.array([float(alpha)]))[0])
+    return float(_screened_groups(cells, [0], np.array([float(alpha)]))[0, 0])
 
 
-def _periodic_cross_many(cells: np.ndarray, period: float, alphas: np.ndarray) -> np.ndarray:
-    """int_period dy int_R dy' phi(y) phi(y') exp(-alpha|y-y'|).
+def _periodic_cross_groups(cells: np.ndarray, starts, periods, alphas: np.ndarray) -> np.ndarray:
+    """int_period dy int_R dy' phi(y) phi(y') exp(-alpha|y-y'|), shape (G, A).
 
-    cells describe one period on [0, period]; phi is its periodic
-    extension.  The pair of image periods at block distance d >= 1 sits
-    gap (d-1)*period apart, so the cross terms resum geometrically to
-    2 * Wl * Wr / (1 - rho) with rho = exp(-alpha*period).
+    Group g (rows starts[g] up to starts[g + 1]) describes one period on
+    [0, periods[g]]; phi is its periodic extension.  The pair of image
+    periods at block distance d >= 1 sits gap (d-1)*period apart, so the
+    cross terms resum geometrically to 2 * Wl * Wr / (1 - rho) with
+    rho = exp(-alpha*period).
     """
+    starts = np.asarray(starts, dtype=np.intp)
+    periods = np.asarray(periods, dtype=float)
+    period_of_cell = np.repeat(periods, np.diff(starts, append=cells.shape[0]))
     a, b = cells[:, 0], cells[:, 1]
-    if a.min() < -_OVERLAP_TOL or b.max() > period + _OVERLAP_TOL:
+    if np.any(a < -_OVERLAP_TOL) or np.any(b > period_of_cell + _OVERLAP_TOL):
         raise InvariantError("cells must lie inside one period")
     tables = _cell_tables(cells, alphas)
-    c0 = -_screened_many(cells, alphas, tables)
+    c0 = -_screened_groups(cells, starts, alphas, tables)
     L, R, _ = tables
-    wl = np.sum(L * np.exp(-np.outer(alphas, np.maximum(period - b, 0.0))), axis=1)
-    wr = np.sum(R * np.exp(-np.outer(alphas, np.maximum(a, 0.0))), axis=1)
-    one_minus = -np.expm1(-alphas * period)
-    return c0 + 2.0 * wl * wr / one_minus
+    al = alphas[:, None]
+    wl = _group_sums(L * np.exp(-al * np.maximum(period_of_cell - b, 0.0)), starts)
+    wr = _group_sums(R * np.exp(-al * np.maximum(a, 0.0)), starts)
+    one_minus = -np.expm1(-al * periods)
+    return c0 + (2.0 * wl * wr / one_minus).T
+
+
+def _reflection_period(seg: Segment) -> tuple:
+    """Cells and length of seg glued to its reflection: one period of e_infinity."""
+    period = juxtapose((seg, seg.reflect()))
+    return period.cells, period.length
 
 
 def e_infinity(seg: Segment, alpha: float) -> float:
@@ -295,9 +367,8 @@ def e_infinity(seg: Segment, alpha: float) -> float:
     is minus that cross energy over P, in closed form for every alpha.
     """
     _check_alpha(alpha)
-    period = juxtapose((seg, seg.reflect()))
-    P = period.length
-    return float(-_periodic_cross_many(period.cells, P, np.array([float(alpha)]))[0] / P)
+    cells, P = _reflection_period(seg)
+    return float(-_periodic_cross_groups(cells, [0], [P], np.array([float(alpha)]))[0, 0] / P)
 
 
 @dataclass(frozen=True)
@@ -342,6 +413,39 @@ def _as_items(side) -> tuple:
     return tuple(side)
 
 
+def _rp_groups(minus_items: tuple, plus_items: tuple) -> list:
+    """Cells of (F-, F+) on its line, then of the symmetrized sequences
+    (reflected F+, F+) and (F-, reflected F-) for each nonempty side."""
+    len_minus = math.fsum(s.length for s in minus_items)
+    len_plus = math.fsum(s.length for s in plus_items)
+    groups = [juxtapose(minus_items + plus_items, z_start=-len_minus).cells]
+    if plus_items:
+        sym_plus = tuple(s.reflect() for s in reversed(plus_items)) + plus_items
+        groups.append(juxtapose(sym_plus, z_start=-len_plus).cells)
+    if minus_items:
+        sym_minus = minus_items + tuple(s.reflect() for s in reversed(minus_items))
+        groups.append(juxtapose(sym_minus, z_start=-len_minus).cells)
+    return groups
+
+
+def _rp_values(cases, alphas: np.ndarray) -> tuple:
+    """lhs and rhs of reflection positivity per (minus, plus) case, each (C, A).
+
+    The groups of every case go through one _screened_groups call; rhs
+    is the mean of the symmetrized energies, 0 for an empty side.
+    """
+    per_case = [_rp_groups(minus, plus) for minus, plus in cases]
+    groups = [g for case in per_case for g in case]
+    energies = _screened_groups(np.vstack(groups), _group_starts(groups), alphas)
+    counts = np.array([len(case) for case in per_case])
+    first = np.cumsum(counts) - counts
+    half = 0.5 * energies
+    rhs = half[first + 1]
+    both = counts == 3
+    rhs[both] += half[first[both] + 2]
+    return energies[first], rhs
+
+
 def check_rp_inequality(minus, plus, alpha: float) -> RPReport:
     """Reflection positivity across the origin.
 
@@ -354,18 +458,33 @@ def check_rp_inequality(minus, plus, alpha: float) -> RPReport:
     plus_items = _as_items(plus)
     if not minus_items and not plus_items:
         raise InvariantError("at least one side must be nonempty")
-    len_minus = math.fsum(s.length for s in minus_items)
-    len_plus = math.fsum(s.length for s in plus_items)
-    lhs = screened_energy(juxtapose(minus_items + plus_items, z_start=-len_minus), alpha)
-    rhs = 0.0
-    if plus_items:
-        sym_plus = tuple(s.reflect() for s in reversed(plus_items)) + plus_items
-        rhs += 0.5 * screened_energy(juxtapose(sym_plus, z_start=-len_plus), alpha)
-    if minus_items:
-        sym_minus = minus_items + tuple(s.reflect() for s in reversed(minus_items))
-        rhs += 0.5 * screened_energy(juxtapose(sym_minus, z_start=-len_minus), alpha)
+    lhs, rhs = _rp_values([(minus_items, plus_items)], np.array([float(alpha)]))
+    lhs, rhs = float(lhs[0, 0]), float(rhs[0, 0])
     slack = lhs - rhs
     return RPReport(alpha=float(alpha), lhs=lhs, rhs=rhs, slack=slack, ok=slack >= -1e-9)
+
+
+def _chessboard_values(seqs, alphas: np.ndarray) -> tuple:
+    """Energy of each juxtaposed sequence and its periodized bound, each (C, A).
+
+    The bound is the math.fsum of |S_i| e_infinity(S_i) over the
+    sequence.  Every sequence goes through one _screened_groups call and
+    every segment's reflection period through one _periodic_cross_groups
+    call.
+    """
+    lines = [juxtapose(items).cells for items in seqs]
+    lhs = _screened_groups(np.vstack(lines), _group_starts(lines), alphas)
+    segs = [seg for items in seqs for seg in items]
+    periods = [_reflection_period(seg) for seg in segs]
+    cells = [c for c, _ in periods]
+    P = np.array([length for _, length in periods])
+    cross = _periodic_cross_groups(np.vstack(cells), _group_starts(cells), P, alphas)
+    terms = np.array([seg.length for seg in segs])[:, None] * (-cross / P[:, None])
+    ends = np.cumsum([len(items) for items in seqs])[:-1]
+    rhs = np.array(
+        [[math.fsum(col) for col in block.T] for block in np.split(terms, ends)]
+    )
+    return lhs, rhs
 
 
 def check_chessboard_bound(seq, alpha: float) -> ChessboardReport:
@@ -373,8 +492,9 @@ def check_chessboard_bound(seq, alpha: float) -> ChessboardReport:
     items = _as_items(seq)
     if not items:
         raise InvariantError("sequence must be nonempty")
-    lhs = screened_energy(juxtapose(items), alpha)
-    rhs = math.fsum(seg.length * e_infinity(seg, alpha) for seg in items)
+    _check_alpha(alpha)
+    lhs, rhs = _chessboard_values([items], np.array([float(alpha)]))
+    lhs, rhs = float(lhs[0, 0]), float(rhs[0, 0])
     slack = lhs - rhs
     scale = max(abs(lhs), 1e-12)
     return ChessboardReport(
@@ -403,28 +523,73 @@ def _cells_l2(cells: np.ndarray) -> float:
     return float(np.sum((b - a) * (va * va + va * vb + vb * vb) / 3.0))
 
 
+def _check_alphas(alphas) -> np.ndarray:
+    al = np.atleast_1d(np.asarray(alphas, dtype=float))
+    if not np.all((al > 0.0) & np.isfinite(al)):
+        raise InvariantError("alpha must be positive and finite")
+    return al
+
+
+def _profile_mismatch(profiles, alphas: np.ndarray) -> np.ndarray:
+    """screened_mismatch of each corner-anchored profile, shape (C, A)."""
+    cells = [_profile_cells(prof) for prof in profiles]
+    u2 = np.array([_cells_l2(c) for c in cells])
+    periods = [prof.period for prof in profiles]
+    cross = _periodic_cross_groups(np.vstack(cells), _group_starts(cells), periods, alphas)
+    return 4.0 * u2[:, None] / alphas - 2.0 * cross
+
+
+def _span_mismatch(va, vb, width, alphas: np.ndarray) -> np.ndarray:
+    """Mismatch of each linear span against its reflection extension, (S, A).
+
+    Span s is a 2-cell group of period 2 * width[s]: the span, then its
+    mirror image.
+    """
+    zero = np.zeros_like(width)
+    cells = np.stack(
+        [np.column_stack([zero, width, va, vb]), np.column_stack([width, 2.0 * width, vb, va])],
+        axis=1,
+    ).reshape(-1, 4)
+    u2 = width * (va * va + va * vb + vb * vb) / 3.0
+    cross = _periodic_cross_groups(cells, np.arange(0, cells.shape[0], 2), 2.0 * width, alphas)
+    return 4.0 * u2[:, None] / alphas - cross
+
+
+def _spans(profile: SawtoothProfile) -> tuple:
+    """Start values, end values and widths of the spans of an anchored profile."""
+    corners = np.asarray(profile.corners)
+    gaps = np.diff(np.concatenate([corners, [profile.period + corners[0]]]))
+    cv = np.asarray(profile.corner_values())
+    return cv, np.roll(cv, -1), gaps
+
+
 def screened_mismatch(profile: SawtoothProfile, alphas) -> np.ndarray:
     """Mismatch integral of a profile against its periodic extension.
 
     Equals int_0^h dy int_R dy' |u(y) - u_per(y')|^2 exp(-alpha|y-y'|),
     evaluated as 4/alpha * ||u||^2 - 2 * (periodic cross energy).
     """
-    al = np.atleast_1d(np.asarray(alphas, dtype=float))
-    if not np.all((al > 0.0) & np.isfinite(al)):
-        raise InvariantError("alpha must be positive and finite")
-    prof = _anchor_at_corner(profile)
-    cells = _profile_cells(prof)
-    u2 = _cells_l2(cells)
-    cross = _periodic_cross_many(cells, prof.period, al)
-    return 4.0 * u2 / al - 2.0 * cross
+    al = _check_alphas(alphas)
+    return _profile_mismatch([_anchor_at_corner(profile)], al)[0]
 
 
-def _bump_mismatch(va: float, vb: float, width: float, alphas: np.ndarray) -> np.ndarray:
-    """Same mismatch for one linear span against its reflection extension."""
-    cells = np.array([[0.0, width, va, vb], [width, 2.0 * width, vb, va]])
-    u2 = width * (va * va + va * vb + vb * vb) / 3.0
-    cross = _periodic_cross_many(cells, 2.0 * width, alphas)
-    return 4.0 * u2 / alphas - cross
+def _master_values(profiles, alphas: np.ndarray) -> tuple:
+    """Whole-profile mismatch and its span sum per anchored profile, each (C, A).
+
+    The spans of every profile go through one _periodic_cross_groups
+    call; each profile's span mismatches are then added left to right.
+    """
+    lhs = _profile_mismatch(profiles, alphas)
+    spans = [_spans(prof) for prof in profiles]
+    va, vb, gaps = (np.concatenate(parts) for parts in zip(*spans))
+    bumps = _span_mismatch(va, vb, gaps, alphas)
+    counts = np.array([s[2].size for s in spans])
+    first = np.cumsum(counts) - counts
+    rhs = np.zeros_like(lhs)
+    for j in range(int(counts.max())):
+        live = counts > j
+        rhs[live] += bumps[first[live] + j]
+    return lhs, rhs
 
 
 def _log_simpson(values: np.ndarray, tgrid: np.ndarray) -> float:
@@ -450,7 +615,8 @@ def bump_alpha_energy(va: float, vb: float, width: float, nodes: int = 1025) -> 
     amin, amax = 1e-4 / width, 1e4 / width
     t = np.linspace(math.log(amin), math.log(amax), nodes)
     al = np.exp(t)
-    vals = al * al * _bump_mismatch(va, vb, width, al)
+    span = (np.array([va], dtype=float), np.array([vb], dtype=float), np.array([width], dtype=float))
+    vals = al * al * _span_mismatch(*span, al)[0]
     mean = 0.5 * (va + vb)
     u2 = width * (va * va + va * vb + vb * vb) / 3.0
     a0 = 4.0 * u2 - 4.0 * width * mean * mean
@@ -491,21 +657,15 @@ def check_master_inequality(
     the profile.  With integrate=True the alpha-integrated version is
     evaluated too, whose span sum approaches c0 * sum(span^2).
     """
-    al = np.atleast_1d(np.asarray(alphas, dtype=float))
+    al = _check_alphas(alphas)
     prof = _anchor_at_corner(profile)
-    lhs = screened_mismatch(prof, al)
-    corners = np.asarray(prof.corners)
-    gaps = np.diff(np.concatenate([corners, [prof.period + corners[0]]]))
-    cv = prof.corner_values()
-    rhs = np.zeros_like(al)
+    lhs, rhs = _master_values([prof], al)
+    lhs, rhs = lhs[0], rhs[0]
+    va, vb, gaps = _spans(prof)
     int_rhs = 0.0
-    m = corners.size
-    for i in range(m):
-        va = cv[i]
-        vb = cv[(i + 1) % m]
-        rhs += _bump_mismatch(va, vb, float(gaps[i]), al)
-        if integrate:
-            int_rhs += bump_alpha_energy(va, vb, float(gaps[i]), nodes)
+    if integrate:
+        for i in range(gaps.size):
+            int_rhs += bump_alpha_energy(va[i], vb[i], float(gaps[i]), nodes)
     slack = lhs - rhs
     scale = max(1.0, float(np.max(np.abs(lhs))))
     int_lhs = profile_alpha_energy(prof, nodes) if integrate else float("nan")
@@ -564,40 +724,68 @@ def _family_stats(slacks) -> dict:
     }
 
 
+def _blocks(draw, trials: int, size, n_alphas: int):
+    """Draw `trials` cases in order and yield them in consecutive blocks.
+
+    A block takes cases while its cells times n_alphas stay within
+    _BLOCK_ENTRIES; a single larger case makes a block of its own.
+    """
+    block, entries = [], 0
+    for _ in range(trials):
+        case = draw()
+        n = size(case) * n_alphas
+        if block and entries + n > _BLOCK_ENTRIES:
+            yield block
+            block, entries = [], 0
+        block.append(case)
+        entries += n
+    yield block
+
+
+def _pieces(segments) -> int:
+    return sum(len(seg.widths) for seg in segments)
+
+
 def verify_suite(trials: int = 100, seed: int = 0, alphas=(0.1, 1.0, 10.0)) -> dict:
     """Randomized verification of the three inequality families.
 
     Runs `trials` independent cases per family (reflection positivity,
     chessboard bound, master inequality on sawtooth profiles) at each
     alpha, and reports min/mean slacks suitable for JSON serialization.
-    """
-    from .model_core import random_profile
 
+    The cases are those of a loop calling check_rp_inequality,
+    check_chessboard_bound and check_master_inequality case by case:
+    the same draws in the same order, the slacks in (trial, alpha)
+    order.  A family's cases are drawn and then priced together, a
+    block at a time: all cell groups of a block, at every alpha, go
+    through one grouped kernel call (two for the chessboard and master
+    families), and a block's cells times alphas stay within
+    _BLOCK_ENTRIES.
+    """
     if not isinstance(trials, (int, np.integer)) or trials < 1:
         raise InvariantError(f"trials: must be a positive integer, got {trials!r}")
     alphas = tuple(float(a) for a in alphas)
     if not alphas or not all(a > 0.0 and math.isfinite(a) for a in alphas):
         raise InvariantError(f"alphas: must be positive and finite, got {alphas!r}")
     rng = np.random.default_rng(seed)
-    rp_slacks, cb_slacks, master_slacks = [], [], []
-    for _ in range(trials):
-        minus = tuple(random_segment(rng) for _ in range(int(rng.integers(1, 4))))
-        plus = tuple(random_segment(rng) for _ in range(int(rng.integers(1, 4))))
-        for alpha in alphas:
-            rp_slacks.append(check_rp_inequality(minus, plus, alpha).slack)
-    for _ in range(trials):
-        seq = tuple(random_segment(rng) for _ in range(int(rng.integers(2, 7))))
-        for alpha in alphas:
-            cb_slacks.append(check_chessboard_bound(seq, alpha).slack)
-    for _ in range(trials):
-        prof = random_profile(rng, 1.0)
-        rep = check_master_inequality(prof, alphas=alphas, integrate=False)
-        master_slacks.extend(rep.slack)
-    return {
-        "trials": int(trials),
-        "seed": int(seed),
-        "alphas": [float(a) for a in alphas],
-        "rp": _family_stats(rp_slacks),
-        "chessboard": _family_stats(cb_slacks),
-        "master": _family_stats(master_slacks),
-    }
+    al = np.array(alphas)
+
+    def segments(lo: int, hi: int) -> tuple:
+        return tuple(random_segment(rng) for _ in range(int(rng.integers(lo, hi))))
+
+    # (name, draw one case, its cell count, price a block of cases)
+    families = (
+        ("rp", lambda: (segments(1, 4), segments(1, 4)),
+         lambda case: 3 * _pieces(case[0] + case[1]), _rp_values),
+        ("chessboard", lambda: segments(2, 7), lambda seq: 3 * _pieces(seq), _chessboard_values),
+        ("master", lambda: _anchor_at_corner(random_profile(rng, 1.0)),
+         lambda prof: 3 * len(prof.corners), _master_values),
+    )
+    report = {"trials": int(trials), "seed": int(seed), "alphas": list(alphas)}
+    for name, draw, size, values in families:
+        slacks = []
+        for block in _blocks(draw, int(trials), size, al.size):
+            lhs, rhs = values(block, al)
+            slacks.append((lhs - rhs).ravel())
+        report[name] = _family_stats(np.concatenate(slacks))
+    return report

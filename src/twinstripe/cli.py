@@ -272,10 +272,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built by the first main() call, not at import, and reused by later calls
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
         return args.func(args)
     except InvariantError as exc:
         print(f"twinstripe: error: {exc}", file=sys.stderr)

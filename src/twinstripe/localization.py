@@ -607,12 +607,22 @@ def classify_intervals(
     failing only the strain test makes it type 3; failing only the gap
     test makes it type 2.
     """
+    _check_classify_inputs(u, eta, kappa)
+    return _classify(u, part, build_comparison(u.profiles[0], part), eta, kappa)
+
+
+def _check_classify_inputs(u: Configuration, eta: float, kappa: float) -> None:
     _require_normalized(u.params)
     for name, value in (("eta", eta), ("kappa", kappa)):
         if not (math.isfinite(value) and value > 0):
             raise InvariantError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _classify(
+    u: Configuration, part: IntervalPartition, cmp: ComparisonProfile, eta: float, kappa: float
+) -> list[LocalTerms]:
+    """classify_intervals with the comparison profile of u's near trace given."""
     m = part.m_corners
-    cmp = build_comparison(u.profiles[0], part)
     f0 = _gap_spread_per_interval(cmp, u.params.beta, m)
     per_interval = _strain_per_interval(u, part)
     # one third of the strain in the three-interval window around k
@@ -871,8 +881,9 @@ def certificate_check(
     u0 = norm.profiles[0]
     u1 = norm.profiles[-1]
     part = build_partition(u1)
-    terms = classify_intervals(norm, part, eta=eta, kappa=kappa)
+    _check_classify_inputs(norm, eta, kappa)
     cmp = build_comparison(u0, part)
+    terms = _classify(norm, part, cmp, eta, kappa)
     errors = local_error_terms(u0, cmp, part)
 
     target = part.period / part.m_corners

@@ -10,7 +10,13 @@ import math
 import mpmath as mp
 import numpy as np
 
-from twinstripe.model_core import _window_pieces
+from twinstripe.chessboard import (
+    check_chessboard_bound,
+    check_master_inequality,
+    check_rp_inequality,
+    random_segment,
+)
+from twinstripe.model_core import _window_pieces, random_profile
 
 
 def quad_fourier_coefficient(profile, k: int, nodes: int = 10**6) -> complex:
@@ -216,3 +222,40 @@ def interval_pairing_mp(w, u0, lo: float, hi: float, dps: int = 20) -> float:
             slope = (db - da) / (b - a)
             total += mp.quad(lambda y: hilbert_slope(y) * (da + slope * (y - a)), [a, b])
         return float(total)
+
+
+def verify_suite_reference(trials: int, seed: int = 0, alphas=(0.1, 1.0, 10.0)) -> dict:
+    """chessboard.verify_suite as a loop of public single-case checks.
+
+    Draws the same cases in the same order and calls check_rp_inequality,
+    check_chessboard_bound and check_master_inequality once per case and
+    alpha, collecting the slacks in (trial, alpha) order.
+    """
+    rng = np.random.default_rng(seed)
+    rp, cb, master = [], [], []
+    for _ in range(trials):
+        minus = tuple(random_segment(rng) for _ in range(int(rng.integers(1, 4))))
+        plus = tuple(random_segment(rng) for _ in range(int(rng.integers(1, 4))))
+        for alpha in alphas:
+            rp.append(check_rp_inequality(minus, plus, alpha).slack)
+    for _ in range(trials):
+        seq = tuple(random_segment(rng) for _ in range(int(rng.integers(2, 7))))
+        for alpha in alphas:
+            cb.append(check_chessboard_bound(seq, alpha).slack)
+    for _ in range(trials):
+        prof = random_profile(rng, 1.0)
+        for alpha in alphas:
+            rep = check_master_inequality(prof, alphas=(alpha,), integrate=False)
+            master.append(rep.slack[0])
+
+    def stats(slacks):
+        return {"count": len(slacks), "min_slack": min(slacks), "mean_slack": float(np.mean(slacks))}
+
+    return {
+        "trials": trials,
+        "seed": seed,
+        "alphas": [float(a) for a in alphas],
+        "rp": stats(rp),
+        "chessboard": stats(cb),
+        "master": stats(master),
+    }

@@ -308,3 +308,73 @@ def test_verify_suite_smoke():
         assert report[family]["count"] == 75
         assert report[family]["min_slack"] >= -1e-9
     json.dumps(report)
+
+
+@pytest.mark.parametrize("alphas", [(0.1, 1.0, 10.0), (0.01,), (0.5, 2.0, 7.0, 100.0)])
+def test_verify_suite_matches_per_case_reference(alphas):
+    for seed in range(10):
+        for trials in (1, 3, 50):
+            got = cb.verify_suite(trials=trials, seed=seed, alphas=alphas)
+            want = oracles.verify_suite_reference(trials, seed, alphas)
+            for family in ("rp", "chessboard", "master"):
+                assert got[family]["count"] == want[family]["count"] == trials * len(alphas)
+                for stat in ("min_slack", "mean_slack"):
+                    assert abs(got[family][stat] - want[family][stat]) <= 1e-13
+
+
+def _ragged_cells(rng, n, z0):
+    widths = rng.uniform(0.05, 0.5, n)
+    bp = z0 + np.concatenate([[0.0], np.cumsum(widths)])
+    values = rng.uniform(-1.0, 1.0, n + 1)
+    cells = np.column_stack([bp[:-1], bp[1:], values[:-1], values[1:]])
+    if n > 1:
+        # a join that overlaps by less than the tolerance is accepted
+        cells[int(rng.integers(1, n)), 0] -= 0.5 * cb._OVERLAP_TOL
+    return cells
+
+
+def test_grouped_kernels_match_single_group_calls():
+    rng = np.random.default_rng(21)
+    alphas = np.array([0.01, 0.3, 1.0, 10.0])
+    sizes = list(range(1, 19)) + [18, 1, 7, 2]
+    lines = [_ragged_cells(rng, n, float(rng.uniform(-2.0, 2.0))) for n in sizes]
+    shuffled = [rng.permutation(cells) for cells in lines]  # rows in any order
+    got = cb._screened_groups(np.vstack(shuffled), cb._group_starts(shuffled), alphas)
+    assert got.shape == (len(sizes), alphas.size)
+    for g, cells in enumerate(lines):
+        want = cb._screened_groups(cells, [0], alphas)[0]
+        np.testing.assert_allclose(got[g], want, rtol=1e-14, atol=0.0)
+        assert got[g, 1] == pytest.approx(cb.screened_energy(cells, 0.3), rel=1e-14)
+
+    periods = []
+    for cells in lines:
+        cells[:, :2] -= cells[0, 0] - float(rng.uniform(0.0, 0.2))
+        # the last cell may end past the period by less than the tolerance
+        periods.append(cells[-1, 1] + float(rng.choice([-0.5 * cb._OVERLAP_TOL, 0.3])))
+    got = cb._periodic_cross_groups(np.vstack(lines), cb._group_starts(lines), periods, alphas)
+    for g, (cells, period) in enumerate(zip(lines, periods)):
+        want = cb._periodic_cross_groups(cells, [0], [period], alphas)[0]
+        np.testing.assert_allclose(got[g], want, rtol=1e-14, atol=0.0)
+
+
+def test_grouped_kernels_reject_overlap_and_cells_outside_period():
+    alphas = np.array([0.5, 2.0])
+    tent = [[0.0, 0.5, 0.0, 1.0], [0.5, 1.0, 1.0, 0.0]]
+    inside = [[0.2, 0.4, 1.0, 1.0]]
+    # groups are priced apart: a cell inside another group's span is fine
+    cb._screened_groups(np.array(tent + inside), [0, 2], alphas)
+    with pytest.raises(InvariantError):
+        cb._screened_groups(np.array(inside + tent + inside), [0, 1], alphas)
+    cb._periodic_cross_groups(np.array(tent + [[0.0, 1.5, 1.0, 0.0]]), [0, 2], [1.0, 1.5], alphas)
+    with pytest.raises(InvariantError):
+        cb._periodic_cross_groups(np.array(tent + [[0.0, 1.5, 1.0, 0.0]]), [0, 2], [1.0, 1.0], alphas)
+    with pytest.raises(InvariantError):
+        cb._periodic_cross_groups(np.array(tent + [[-0.1, 0.5, 1.0, 0.0]]), [0, 2], [1.0, 1.0], alphas)
+
+
+def test_verify_suite_blocks_match_one_block(monkeypatch):
+    whole = cb.verify_suite(trials=40, seed=3, alphas=(0.1, 1.0, 10.0))
+    # every block now holds one case, or the few that fit 100 entries
+    for entries in (1, 100):
+        monkeypatch.setattr(cb, "_BLOCK_ENTRIES", entries)
+        assert cb.verify_suite(trials=40, seed=3, alphas=(0.1, 1.0, 10.0)) == whole

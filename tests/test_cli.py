@@ -286,6 +286,34 @@ def _option_strings(parser):
     }
 
 
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    argvs = [
+        ["optimal-stripes", "--beta", "1", "--epsilon", "1e-4"],
+        ["verify-chessboard", "--trials", "2", "--seed", "5"],
+        ["optimal-stripes", "--beta", "x", "--epsilon", "1"],
+        ["verify-chessboard", "--trials", "2", "--seed", "5", "--alphas", "0.5"],
+        ["optimal-stripes", "--beta", "1", "--epsilon", "1e-4"],
+    ]
+    fresh = []
+    for argv in argvs:
+        monkeypatch.setattr(cli, "_parser", None)
+        fresh.append(run_cli(capsys, *argv))
+    assert [code for code, _, _ in fresh] == [0, 0, 1, 0, 0]
+
+    built = []
+    build = cli.build_parser
+
+    def counting_build_parser():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cached = [run_cli(capsys, *argv) for argv in argvs]
+    assert len(built) == 1
+    assert cached == fresh
+
+
 def test_option_surface_is_pinned():
     parser = cli.build_parser()
     assert _option_strings(parser) == set()

@@ -522,6 +522,27 @@ def test_certificate_cross_checks_pairing_routes():
     assert math.isfinite(report.excess)
 
 
+def test_certificate_builds_one_comparison_profile(monkeypatch):
+    built = []
+    build = loc.build_comparison
+
+    def counting_build(u0, part):
+        built.append(1)
+        return build(u0, part)
+
+    monkeypatch.setattr(loc, "build_comparison", counting_build)
+    rng = np.random.default_rng(5)
+    config = two_station_config(random_profile(rng, 1.0, 3), random_profile(rng, 1.0, 4), 0.5, 0.1)
+    report = loc.certificate_check(config)
+    assert len(built) == 1
+    # the public classifier builds its own and classifies alike
+    norm, _ = loc.normalize_configuration(config)
+    part = loc.build_partition(norm.profiles[-1])
+    built.clear()
+    assert loc.classify_intervals(norm, part) == list(report.terms)
+    assert len(built) == 1
+
+
 def test_normalization_preserves_energy_up_to_scale():
     rng = np.random.default_rng(71)
     h, L = 0.7, 2.3
