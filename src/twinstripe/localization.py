@@ -45,7 +45,6 @@ from .model_core import (
     SawtoothProfile,
     _window_cuts,
     fourier_coefficients,
-    l2_distance,
 )
 from .one_dim import C0, optimal_even_m
 
@@ -175,36 +174,44 @@ def hilbert_slope_exact(profile: SawtoothProfile, y) -> np.ndarray | float:
     return float(out[0]) if scalar else out.reshape(yy.shape)
 
 
-def bmo_seminorm(samples: np.ndarray, min_width_frac: float = BMO_MIN_FRAC) -> float:
+def bmo_seminorm(
+    samples: np.ndarray, min_width_frac: float = BMO_MIN_FRAC
+) -> np.ndarray | float:
     """Mean-oscillation seminorm of a sampled function on its window.
 
     Scans dyadic subinterval widths from the full window down to
     min_width_frac of it, sliding each width across BMO_OFFSETS evenly
     spaced start offsets, and returns the square root of the largest
     mean-square oscillation found.  A lower bound on the true supremum
-    that is monotone in the search family.
+    that is monotone in the search family.  Reduces over the last axis:
+    a (K, n) array holds K windows, scanned together from prefix sums
+    along each row, and gives K values; a 1-D input gives a float.
     """
     g = np.asarray(samples, dtype=float)
-    n = len(g)
-    if n < 4:
+    if g.ndim == 0 or g.shape[-1] < 4:
         raise InvariantError("bmo_seminorm needs at least 4 samples")
     if not (0 < min_width_frac <= 1):
         raise InvariantError("min_width_frac must lie in (0, 1]")
-    g = g - g.mean()  # oscillation is shift invariant; centering tames cancellation
-    s1 = np.concatenate(([0.0], np.cumsum(g)))
-    s2 = np.concatenate(([0.0], np.cumsum(g * g)))
-    best = 0.0
+    n = g.shape[-1]
+    # oscillation is shift invariant; centering tames cancellation
+    g = g - g.mean(axis=-1, keepdims=True)
+    zero = np.zeros(g.shape[:-1] + (1,))
+    s1 = np.concatenate((zero, np.cumsum(g, axis=-1)), axis=-1)
+    s2 = np.concatenate((zero, np.cumsum(g * g, axis=-1)), axis=-1)
+    best = np.zeros(g.shape[:-1])
     width = n
     while True:
         m = max(2, int(round(width)))
         starts = np.unique(np.linspace(0, n - m, min(BMO_OFFSETS, n - m + 1)).astype(int))
-        mean = (s1[starts + m] - s1[starts]) / m
-        msq = (s2[starts + m] - s2[starts]) / m
-        best = max(best, float(np.max(msq - mean * mean)))
+        mean = (s1[..., starts + m] - s1[..., starts]) / m
+        msq = (s2[..., starts + m] - s2[..., starts]) / m
+        osc = np.max(msq - mean * mean, axis=-1)
+        best = np.where(osc > best, osc, best)  # a NaN (sample on a corner) never wins
         if width <= n * min_width_frac * (1 + 1e-9) or m == 2:
             break
         width /= 2.0
-    return math.sqrt(max(best, 0.0))
+    out = np.sqrt(best)
+    return float(out) if g.ndim == 1 else out
 
 
 # -- partition of the period from the far trace ------------------------------
@@ -311,14 +318,6 @@ def _window_integral(profile: SawtoothProfile, lo: float, hi: float) -> float:
         v = profile.evaluate(cuts)
         total += float(np.sum(np.diff(cuts) * (v[:-1] + v[1:]) / 2.0))
     return total
-
-
-def _count_corners(corners: np.ndarray, period: float, lo: float, hi: float) -> int:
-    """Corners (given in [0, period)) inside the half-open window [lo, hi)."""
-    if hi - lo >= period * (1 - 1e-12):
-        return len(corners)
-    rel = np.mod(corners - lo, period)
-    return int(np.count_nonzero(rel < (hi - lo)))
 
 
 # -- comparison profile -------------------------------------------------------
@@ -528,14 +527,10 @@ def _require_normalized(params: ModelParams) -> None:
 
 def _strain_per_interval(config: Configuration, part: IntervalPartition) -> np.ndarray:
     """Strain of the linear-in-x interpolation restricted to each interval."""
-    n = part.count
-    out = np.zeros(n)
+    out = np.zeros(part.count)
     for j in range(len(config.stations) - 1):
         dx = config.stations[j + 1] - config.stations[j]
-        p, q = config.profiles[j + 1], config.profiles[j]
-        for k in range(n):
-            d = l2_distance(p, q, window=part.interval(k))
-            out[k] += d * d / dx
+        out += _interval_l2_sq(config.profiles[j + 1], config.profiles[j], part) / dx
     return out
 
 
@@ -547,20 +542,22 @@ def _interface_excess_per_interval(
     Each x-cell is charged at the station with the larger total count
     (ties to the later station), matching the surface energy convention,
     with that station's corner positions deciding the window counts.
+    A star piece [lo, hi) holds the corners c with mod(c - lo, h) <
+    hi - lo, or all of them when it spans a full period; all 3K pieces
+    are counted in one comparison.
     """
-    n = part.count
     h = part.period
     counts = [p.interface_count() for p in config.profiles]
-    pieces = [part.star_pieces(k) for k in range(n)]
+    pieces = np.asarray([part.star_pieces(k) for k in range(part.count)])  # (K, 3, 2)
+    lo, span = pieces[..., 0], pieces[..., 1] - pieces[..., 0]
+    full = span >= h * (1 - 1e-12)
 
     def window_counts(profile: SawtoothProfile) -> np.ndarray:
         c = np.asarray(profile.corners)
-        return np.asarray(
-            [sum(_count_corners(c, h, lo, hi) for lo, hi in pieces[k]) for k in range(n)],
-            dtype=float,
-        )
+        inside = np.count_nonzero(np.mod(c - lo[..., None], h) < span[..., None], axis=-1)
+        return np.where(full, len(c), inside).sum(axis=-1).astype(float)
 
-    out = np.zeros(n)
+    out = np.zeros(part.count)
     if len(config.profiles) == 1:
         carrier = window_counts(config.profiles[0])
         return 0.5 * epsilon * config.params.length_L * (carrier - 4.0)
@@ -686,15 +683,43 @@ def _slope_at(profile: SawtoothProfile, y: np.ndarray) -> np.ndarray:
     return profile.slope_after_corners()[idx - 1]  # -1: the segment through 0
 
 
+def _merged_grid(
+    p: SawtoothProfile, q: SawtoothProfile, part: IntervalPartition
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One period's grid for a profile pair, and p - q on it.
+
+    The grid ys merges the partition boundaries with the nodes of both
+    profiles folded into [b_0, b_0 + h], so p - q is linear on each
+    piece; starts[k] indexes the first piece of interval k.
+    """
+    h = part.period
+    bnd = part.boundaries
+    nodes = np.concatenate((q.nodes()[0], p.nodes()[0]))
+    ys = np.unique(np.concatenate((bnd, bnd[0] + np.mod(nodes - bnd[0], h))))
+    d = p.evaluate(ys) - q.evaluate(ys)
+    return ys, d, np.searchsorted(ys, bnd[:-1])
+
+
+def _interval_l2_sq(
+    p: SawtoothProfile, q: SawtoothProfile, part: IntervalPartition, grid=None
+) -> np.ndarray:
+    """Integral of (p - q)^2 over each partition interval, exact, from one grid."""
+    ys, d, starts = _merged_grid(p, q, part) if grid is None else grid
+    va, vb = d[:-1], d[1:]
+    # exact integral of a linear function squared on each piece
+    return np.add.reduceat(np.diff(ys) * (va * va + va * vb + vb * vb) / 3.0, starts)
+
+
 def _interval_pairings(
-    w: SawtoothProfile, u0: SawtoothProfile, part: IntervalPartition
+    w: SawtoothProfile, u0: SawtoothProfile, part: IntervalPartition, grid=None
 ) -> np.ndarray:
     """Integral of (H w')(y) (u0(y) - w(y)) dy over each partition interval, exact.
 
     H w' = 4 sum_j s_j log|2 sin(theta_j / 2)|, theta_j = 2 pi (y - z_j) / h,
     and u0 - w = d is linear with slope sigma between the merged nodes of
-    both profiles and the boundaries.  From the antiderivatives -Cl_2 and
-    -theta Cl_2 - Cl_3 (DLMF 25.12) each piece [a, b] gives
+    both profiles and the boundaries (``_merged_grid(u0, w, part)``,
+    passed as ``grid`` when the caller has it).  From the antiderivatives
+    -Cl_2 and -theta Cl_2 - Cl_3 (DLMF 25.12) each piece [a, b] gives
 
         -(h / 2 pi) [d A]_a^b - sigma (h / 2 pi)^2 [B]_a^b,
 
@@ -702,10 +727,7 @@ def _interval_pairings(
     Grid rows are taken a block at a time, so memory stays bounded.
     """
     h = part.period
-    bnd = part.boundaries
-    nodes = np.concatenate((w.nodes()[0], u0.nodes()[0]))
-    ys = np.unique(np.concatenate((bnd, bnd[0] + np.mod(nodes - bnd[0], h))))
-    d = u0.evaluate(ys) - w.evaluate(ys)
+    ys, d, starts = _merged_grid(u0, w, part) if grid is None else grid
     mid = 0.5 * (ys[:-1] + ys[1:])
     sigma = _slope_at(u0, mid) - _slope_at(w, mid)
     z = np.asarray(w.corners)
@@ -722,7 +744,7 @@ def _interval_pairings(
         cl3[block] = _clausen3_less_zeta3(np.abs(theta)) @ weights
     scale = h / (2.0 * np.pi)
     pieces = -scale * np.diff(d * cl2) - scale * scale * sigma * np.diff(cl3)
-    return np.add.reduceat(pieces, np.searchsorted(ys, bnd[:-1]))
+    return np.add.reduceat(pieces, starts)
 
 
 def local_error_terms(
@@ -735,19 +757,26 @@ def local_error_terms(
     The pairing integral of H w' (u0 - w) is exact; the oscillation
     samples the log form of H w'.  The reported cbar is the measured
     constant of the chain |2 pairing| <= cbar * H^{1/2} ||u0 - w||, zero
-    on matched intervals (mismatch at most MATCH_FLOOR).
+    on matched intervals (mismatch at most MATCH_FLOOR).  All K
+    mismatches and pairings come from one merged grid of u0 and w, and
+    the K windows' samples of H w' are scanned in one bmo_seminorm call.
     """
-    out: list[ErrorTerms] = []
     wp = w.profile
-    pairings = _interval_pairings(wp, u0, part)
+    grid = _merged_grid(u0, wp, part)
+    pairings = _interval_pairings(wp, u0, part, grid)
+    dists = np.sqrt(_interval_l2_sq(u0, wp, part, grid))
+    bnd = part.boundaries
+    offsets = np.arange(BMO_SAMPLES) + 0.5
+    samples = np.empty((part.count, BMO_SAMPLES))
     for k in range(part.count):
-        lo, hi = part.interval(k)
-        width = hi - lo
-        dist = l2_distance(u0, wp, window=(lo, hi))
+        step = (bnd[k + 1] - bnd[k]) / BMO_SAMPLES
+        samples[k] = hilbert_slope_exact(wp, bnd[k] + offsets * step)
+    bmos = bmo_seminorm(samples)
+    out: list[ErrorTerms] = []
+    for k, (width, dist, bmo, pairing) in enumerate(
+        zip(part.widths.tolist(), dists.tolist(), bmos.tolist(), pairings.tolist())
+    ):
         err = math.sqrt(width) * dist
-        ys = lo + (np.arange(BMO_SAMPLES) + 0.5) * (width / BMO_SAMPLES)
-        bmo = bmo_seminorm(np.asarray(hilbert_slope_exact(wp, ys)))
-        pairing = float(pairings[k])
         cbar = 2.0 * abs(pairing) / err if dist > MATCH_FLOOR else 0.0
         out.append(ErrorTerms(k, err, bmo, pairing, cbar))
     return out
@@ -875,7 +904,10 @@ def certificate_check(
     quantity (local energy minus measured error bound) is nonnegative.
     The per-interval ratio bounding the comparison mismatch by the
     distance between the two traces is measured and reported, never
-    assumed.  eta and kappa must be positive and finite.
+    assumed.  Every per-interval L2 window (strain per x-cell, mismatch,
+    the ratio's numerator and denominator) is one ``_interval_l2_sq``
+    call over a merged grid of the profile pair, never a windowed
+    ``l2_distance``.  eta and kappa must be positive and finite.
     """
     norm, scale = normalize_configuration(u)
     u0 = norm.profiles[0]
@@ -893,13 +925,12 @@ def certificate_check(
     strain_global = strain_energy(norm)
     surface_excess = surface_energy(norm) - norm.params.epsilon * part.m_corners
 
-    ratios = []
-    for k in range(part.count):
-        window = part.interval(k)
-        num = l2_distance(u0, cmp.profile, window=window)
-        den = l2_distance(u0, u1, window=window)
-        width = window[1] - window[0]
-        ratios.append(num / (width * den ** (1.0 / 3.0)) if den > 0 else math.nan)
+    nums = np.sqrt(_interval_l2_sq(u0, cmp.profile, part)).tolist()
+    dens = np.sqrt(_interval_l2_sq(u0, u1, part)).tolist()
+    ratios = [
+        num / (width * den ** (1.0 / 3.0)) if den > 0 else math.nan
+        for num, den, width in zip(nums, dens, part.widths.tolist())
+    ]
 
     pairing_quad = float(sum(e.pairing for e in errors))
     pairing_spectral = h_half_inner(cmp.profile, u0) - h_half_sq(cmp.profile)

@@ -708,7 +708,14 @@ def relax(
         # wiping the strain in a single accepted step
         strain_now = sum(state.strain)
         best_j, best_delta = -1, -floor
+        priced: set[SawtoothProfile] = set()
         for j, prof in enumerate(state.profiles):
+            # neighbor copies and column moves leave equal profiles at
+            # many stations; a repeat prices the same and cannot beat the
+            # first of them, so each distinct profile is priced once
+            if prof in priced:
+                continue
+            priced.add(prof)
             delta = state._austenite(prof) - state.austenite - strain_now
             count = prof.interface_count()
             for c in range(n - 1):

@@ -16,7 +16,7 @@ from twinstripe.chessboard import (
     check_rp_inequality,
     random_segment,
 )
-from twinstripe.model_core import _window_pieces, random_profile
+from twinstripe.model_core import _window_pieces, l2_distance, random_profile
 
 
 def quad_fourier_coefficient(profile, k: int, nodes: int = 10**6) -> complex:
@@ -182,6 +182,42 @@ def l2_distance_reference(p, q, window=None):
         vb = evaluate_reference(p, right) - evaluate_reference(q, right)
         total += float(np.sum((right - left) * (va * va + va * vb + vb * vb) / 3.0))
     return math.sqrt(max(total, 0.0))
+
+
+def interval_l2_sq_reference(p, q, part) -> np.ndarray:
+    """Integral of (p - q)^2 over each partition interval, one windowed
+    l2_distance call per interval."""
+    return np.asarray(
+        [l2_distance(p, q, window=part.interval(k)) ** 2 for k in range(part.count)]
+    )
+
+
+def star_excess_reference(config, part, epsilon: float) -> np.ndarray:
+    """(eps/2) * integral over x of (star-window corner count - 4), counted
+    piece by piece in Python, with the charged station picked as in the
+    surface energy (larger count, ties to the later station)."""
+
+    def count(corners, lo, hi):
+        if hi - lo >= part.period * (1 - 1e-12):
+            return len(corners)
+        return int(np.count_nonzero(np.mod(corners - lo, part.period) < (hi - lo)))
+
+    def window_counts(profile):
+        c = np.asarray(profile.corners)
+        return np.asarray(
+            [sum(count(c, lo, hi) for lo, hi in part.star_pieces(k)) for k in range(part.count)],
+            dtype=float,
+        )
+
+    if len(config.profiles) == 1:
+        return 0.5 * epsilon * config.params.length_L * (window_counts(config.profiles[0]) - 4.0)
+    out = np.zeros(part.count)
+    for j in range(len(config.stations) - 1):
+        dx = config.stations[j + 1] - config.stations[j]
+        a, b = config.profiles[j], config.profiles[j + 1]
+        pick = a if a.interface_count() > b.interface_count() else b
+        out += 0.5 * epsilon * dx * (window_counts(pick) - 4.0)
+    return out
 
 
 def interval_pairing_mp(w, u0, lo: float, hi: float, dps: int = 20) -> float:

@@ -4,6 +4,7 @@ and the certificate that assembles them."""
 
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -29,7 +30,7 @@ from twinstripe.one_dim import C0, make_w_m, optimal_even_m
 from twinstripe import localization as loc
 from twinstripe.optimize import striped_candidate
 
-from oracles import interval_pairing_mp
+from oracles import interval_l2_sq_reference, interval_pairing_mp, star_excess_reference
 
 
 UNIT = ModelParams(1.0, 1.0, 1.0, 1.0)
@@ -175,6 +176,61 @@ def test_interval_pairings_blocks_match_single_block(monkeypatch):
         assert np.max(np.abs(loc._interval_pairings(w, u0, part) - whole)) <= 1e-15
 
 
+def assert_interval_l2_matches_windows(p, q, part):
+    got = loc._interval_l2_sq(p, q, part)
+    ref = interval_l2_sq_reference(p, q, part)
+    assert got.shape == (part.count,)
+    tol = np.maximum(1e-13 * np.abs(ref), 1e-15 * part.period)
+    assert np.all(np.abs(got - ref) <= tol), np.max(np.abs(got - ref) / tol)
+
+
+def test_interval_l2_sq_matches_windowed_l2_distance():
+    rng = np.random.default_rng(13)
+    for h in (1.0, 0.7, 2.5):
+        for _ in range(30):
+            u1 = random_profile(rng, h, int(rng.integers(2, 8)))
+            part = loc.build_partition(u1)
+            p = random_profile(rng, h, int(rng.integers(1, 8)))
+            q = random_profile(rng, h, int(rng.integers(1, 8)))
+            assert_interval_l2_matches_windows(p, q, part)
+            assert_interval_l2_matches_windows(p, u1, part)
+            # the comparison profile shares the boundary values with p
+            assert_interval_l2_matches_windows(p, loc.build_comparison(p, part).profile, part)
+
+
+def test_interval_l2_sq_on_wrapping_interval_and_boundary_nodes():
+    # rising midpoints at 0.1, 0.4 and 0.8: the interval starting at 0.8
+    # runs past the period end to 1.1
+    u1 = profile_from_gaps([0.2, 0.1, 0.2], [0.15, 0.15, 0.2]).translated(0.7)
+    part = loc.build_partition(u1)
+    assert part.boundaries[-2] < 1.0 < part.boundaries[-1]
+    rng = np.random.default_rng(14)
+    for _ in range(10):
+        assert_interval_l2_matches_windows(random_profile(rng, 1.0, 5), u1, part)
+    # partition boundaries at 0.125 and 0.625 sit on corners of both profiles
+    part = loc.build_partition(make_w_m(4, UNIT))
+    eighths = SawtoothProfile(1.0, 0.0, -1, tuple(np.arange(8) / 8.0))
+    notched = SawtoothProfile(1.0, 0.0, -1, (0.125, 0.625))
+    assert_interval_l2_matches_windows(eighths, notched, part)
+    assert_interval_l2_matches_windows(eighths, make_w_m(8, UNIT), part)
+
+
+def test_interval_l2_sq_vanishes_on_matched_intervals():
+    u = make_w_m(8, UNIT)
+    part = loc.build_partition(u)
+    assert np.all(loc._interval_l2_sq(u, u, part) == 0.0)
+    assert_interval_l2_matches_windows(u, loc.build_comparison(u, part).profile, part)
+    # one falling segment moved inside its interval: the others stay matched
+    i = int(np.flatnonzero(u.slope_after_corners() < 0)[0])
+    cs = list(u.corners)
+    cs[i] += 0.01
+    cs[i + 1] += 0.01
+    bent = SawtoothProfile(1.0, u.offset, u.initial_slope, tuple(cs))
+    got = loc._interval_l2_sq(u, bent, part)
+    assert got.max() > 1e-7 and np.count_nonzero(got > 1e-15) == 1
+    assert_interval_l2_matches_windows(u, bent, part)
+
+
 # -- oscillation seminorm ------------------------------------------------------
 
 
@@ -193,6 +249,32 @@ def test_bmo_grows_under_window_refinement():
     coarse = loc.bmo_seminorm(vals, min_width_frac=1.0 / 4.0)
     fine = loc.bmo_seminorm(vals, min_width_frac=1.0 / 256.0)
     assert fine >= coarse
+
+
+def test_bmo_rows_match_one_dimensional_calls():
+    rng = np.random.default_rng(33)
+    w = random_profile(rng, 1.0, 5)
+    n = 2048
+    ys = (np.arange(n) + 0.5) / n
+    at_corner = np.asarray(loc.hilbert_slope_exact(w, ys))
+    at_corner[17] = -np.inf  # a sample on a corner of w
+    rows = np.stack([
+        rng.standard_normal(n).cumsum(),
+        np.asarray(loc.hilbert_slope_exact(w, ys)),
+        np.full(n, 0.7),
+        ys,
+        at_corner,
+    ])
+    for frac in (1.0, 0.25, loc.BMO_MIN_FRAC):
+        with np.errstate(invalid="ignore"):  # the corner row's oscillations are NaN
+            got = loc.bmo_seminorm(rows, min_width_frac=frac)
+            assert all(got[k] == loc.bmo_seminorm(rows[k], frac) for k in range(len(rows)))
+        assert got.shape == (len(rows),)
+    short = rng.standard_normal((3, 5))
+    assert all(loc.bmo_seminorm(short)[k] == loc.bmo_seminorm(short[k]) for k in range(3))
+    assert type(loc.bmo_seminorm(rows[0])) is float
+    with pytest.raises(InvariantError):
+        loc.bmo_seminorm(np.zeros((3, 3)))
 
 
 def test_bmo_of_transformed_slope_stays_bounded():
@@ -541,6 +623,48 @@ def test_certificate_builds_one_comparison_profile(monkeypatch):
     built.clear()
     assert loc.classify_intervals(norm, part) == list(report.terms)
     assert len(built) == 1
+
+
+def test_certificate_makes_no_windowed_l2_calls(monkeypatch):
+    windows = []
+    original = l2_distance
+
+    def counting_l2(p, q, window=None):
+        windows.append(window)
+        return original(p, q, window=window)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("twinstripe") and getattr(module, "l2_distance", None) is original:
+            monkeypatch.setattr(module, "l2_distance", counting_l2)
+    rng = np.random.default_rng(6)
+    params = ModelParams(0.5, 0.1, 1.0, 1.0)
+    profs = tuple(random_profile(rng, 1.0, t) for t in (3, 2, 4))
+    config = Configuration(params, (0.0, 0.4, 1.0), profs)
+    report = loc.certificate_check(config)
+    assert math.isfinite(report.excess)
+    # only strain_energy's full-period cells remain
+    assert windows == [None] * (len(profs) - 1)
+
+
+def test_star_window_counts_match_per_piece_loop():
+    rng = np.random.default_rng(15)
+    for _ in range(30):
+        n = int(rng.integers(1, 5))
+        teeth = [int(rng.integers(1, 7)) for _ in range(n - 1)] + [int(rng.integers(2, 7))]
+        profs = tuple(random_profile(rng, 1.0, t) for t in teeth)
+        stations = (0.0,) if n == 1 else tuple(np.linspace(0.0, 1.0, n))
+        config = Configuration(ModelParams(0.5, 0.03, 1.0, 1.0), stations, profs)
+        part = loc.build_partition(profs[-1])
+        got = loc._interface_excess_per_interval(config, part, 0.03)
+        assert np.array_equal(got, star_excess_reference(config, part, 0.03))
+    # corners on every star-piece end: each piece is half open, [lo, hi)
+    w4 = make_w_m(4, UNIT)
+    eighths = SawtoothProfile(1.0, 0.0, -1, tuple(np.arange(8) / 8.0))
+    config = Configuration(UNIT, (0.0, 1.0), (eighths, w4))
+    part = loc.build_partition(w4)
+    got = loc._interface_excess_per_interval(config, part, 1.0)
+    assert np.array_equal(got, star_excess_reference(config, part, 1.0))
+    assert np.array_equal(got, 0.5 * (np.array([8.0, 8.0]) - 4.0))
 
 
 def test_normalization_preserves_energy_up_to_scale():
