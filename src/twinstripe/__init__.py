@@ -14,9 +14,7 @@ from .model_core import (
     ModelParams,
     NonConvergenceError,
     SawtoothProfile,
-    evaluate,
     fourier_coefficient,
-    interface_count,
     l2_distance,
 )
 from .energy import (

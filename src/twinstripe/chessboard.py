@@ -11,48 +11,38 @@ E_alpha(w) from below by the sum of the periodized energy densities of
 its pieces (the chessboard estimate).  Applied to one period of a
 sawtooth boundary trace u0, together with the kernel identity
 1/d^2 = int_0^inf alpha exp(-alpha d) d(alpha), this produces the exact
-per-span bound c0 * span^2 that underlies the striped theory.
+per-span bound c0 * span^2 that underlies the striped theory: the
+alpha-integrated mismatch of a profile is its half-norm h_half_sq, and
+that of a linear span from va to vb is c0 (vb - va)^2.
 
 Everything here is piecewise linear, so every kernel integral reduces
-to a closed form per cell pair; quadrature appears only in the explicit
-alpha-integration helpers (log-grid Simpson with analytic corrections
-for both tails) and in test oracles.
-
-The two kernels, the screened energy and the periodic cross energy,
-work on groups: cells of many collections stacked row-wise, with the
-row where each collection starts, priced at every alpha in one call.
-The public checks hand them the groups of one case; verify_suite hands
-them the groups of a whole block of cases, so a randomized suite costs
-a few array calls per block instead of a few per case and alpha.
+to a closed form per cell pair.  Segments are held as arrays (_table),
+and the (a, b, va, vb) cells of segments laid end to end come from
+cumulative sums (_lines).  The two kernels, the screened energy and the
+periodic cross energy, price groups of cells, many collections stacked
+row-wise, at every alpha in one call: one case for a public check, a
+whole block of cases for verify_suite.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
-from .energy import _BLOCK_ENTRIES
+from .energy import _BLOCK_ENTRIES, h_half_sq
 from .model_core import InvariantError, SawtoothProfile, random_profile
 from .one_dim import C0
 
 __all__ = [
     "Segment",
-    "SegmentSequence",
-    "PiecewiseLinear",
-    "reflect",
-    "juxtapose",
     "screened_energy",
     "e_infinity",
     "check_rp_inequality",
     "check_chessboard_bound",
     "check_master_inequality",
     "screened_mismatch",
-    "bump_alpha_energy",
-    "profile_alpha_energy",
-    "kernel_identity_check",
     "random_segment",
     "verify_suite",
     "RPReport",
@@ -68,12 +58,8 @@ _OVERLAP_TOL = 1e-9
 # both suffer catastrophic cancellation for small x, so below x = 1/2
 # they are evaluated from their Taylor coefficients instead.
 _TERMS = 19
-_P2_DESC = np.array(
-    [(-1.0) ** m / math.factorial(m + 2) for m in range(_TERMS)][::-1]
-)
-_P4_DESC = np.array(
-    [(-1.0) ** m * (m + 3) / math.factorial(m + 4) for m in range(_TERMS)][::-1]
-)
+_P2_DESC = np.array([(-1.0) ** m / math.factorial(m + 2) for m in range(_TERMS)][::-1])
+_P4_DESC = np.array([(-1.0) ** m * (m + 3) / math.factorial(m + 4) for m in range(_TERMS)][::-1])
 
 
 @dataclass(frozen=True)
@@ -88,27 +74,21 @@ class Segment:
     values: tuple
 
     def __post_init__(self):
-        widths = tuple(float(w) for w in self.widths)
-        values = tuple(float(v) for v in self.values)
-        object.__setattr__(self, "widths", widths)
-        object.__setattr__(self, "values", values)
-        if not widths:
+        object.__setattr__(self, "widths", tuple(float(w) for w in self.widths))
+        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        widths, values = np.asarray(self.widths), np.asarray(self.values)
+        if not widths.size:
             raise InvariantError("segment needs at least one piece")
-        if len(values) != len(widths) + 1:
+        if values.size != widths.size + 1:
             raise InvariantError("need one value per breakpoint")
-        arr = np.asarray(widths)
-        if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
+        if not np.all(np.isfinite(widths)) or np.any(widths <= 0.0):
             raise InvariantError("piece widths must be positive and finite")
-        if not np.all(np.isfinite(np.asarray(values))):
+        if not np.all(np.isfinite(values)):
             raise InvariantError("values must be finite")
 
     @property
     def length(self) -> float:
         return math.fsum(self.widths)
-
-    @property
-    def breakpoints(self) -> np.ndarray:
-        return np.concatenate([[0.0], np.cumsum(self.widths)])
 
     @classmethod
     def from_breakpoints(cls, breakpoints, values) -> "Segment":
@@ -130,76 +110,62 @@ class Segment:
     def reflect(self) -> "Segment":
         return Segment(self.widths[::-1], self.values[::-1])
 
-    def cells(self, z0: float = 0.0) -> np.ndarray:
-        """(n, 4) array of (a, b, va, vb) pieces, shifted to start at z0."""
-        bp = self.breakpoints + z0
-        vals = np.asarray(self.values)
-        return np.column_stack([bp[:-1], bp[1:], vals[:-1], vals[1:]])
+    def cells(self) -> np.ndarray:
+        """(n, 4) array of (a, b, va, vb) pieces on [0, T]."""
+        return _juxtapose((self,), 0.0)
 
 
-def reflect(seg: Segment) -> Segment:
-    """Mirror image y -> T - y of a segment."""
-    return seg.reflect()
+def _pairs(segments) -> list:
+    """(widths, values) of each Segment: None, one Segment or several."""
+    if segments is None:
+        return []
+    items = (segments,) if isinstance(segments, Segment) else tuple(segments)
+    if not all(isinstance(seg, Segment) for seg in items):
+        raise InvariantError("sequence items must be Segments")
+    return [(seg.widths, seg.values) for seg in items]
 
 
-@dataclass(frozen=True)
-class SegmentSequence:
-    items: tuple
-
-    def __post_init__(self):
-        items = tuple(self.items)
-        object.__setattr__(self, "items", items)
-        if not items:
-            raise InvariantError("sequence must be nonempty")
-        for seg in items:
-            if not isinstance(seg, Segment):
-                raise InvariantError("sequence items must be Segments")
-
-
-class PiecewiseLinear:
-    """Sorted, non-overlapping linear cells (a, b, va, vb) on the line."""
-
-    __slots__ = ("cells",)
-
-    def __init__(self, cells):
-        arr = np.array(cells, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 4 or arr.shape[0] < 1:
-            raise InvariantError("cells must be a nonempty (n, 4) array")
-        arr = arr[np.argsort(arr[:, 0], kind="stable")]
-        if np.any(arr[:, 1] - arr[:, 0] <= 0.0):
-            raise InvariantError("cells must have positive width")
-        if np.any(arr[1:, 0] - arr[:-1, 1] < -_OVERLAP_TOL):
-            raise InvariantError("cells must not overlap")
-        self.cells = arr
-
-    @property
-    def domain(self) -> tuple:
-        return float(self.cells[0, 0]), float(self.cells[-1, 1])
-
-    @property
-    def length(self) -> float:
-        return float(np.sum(self.cells[:, 1] - self.cells[:, 0]))
+def _table(pairs) -> tuple:
+    """S (widths, values) pairs as zero-padded widths (2S, K) and values
+    (2S, K + 1), piece counts and math.fsum lengths; row S + i holds the
+    reflection of segment i, which reverses both."""
+    S, size = len(pairs), max(len(w) for w, _ in pairs)
+    widths, values = np.zeros((2 * S, size)), np.zeros((2 * S, size + 1))
+    for i, (w, v) in enumerate(pairs):
+        widths[i, : len(w)], widths[S + i, : len(w)] = w, w[::-1]
+        values[i, : len(v)], values[S + i, : len(v)] = v, v[::-1]
+    counts, lengths = [len(w) for w, _ in pairs], [math.fsum(w) for w, _ in pairs]
+    return widths, values, np.tile(counts, 2), np.tile(lengths, 2)
 
 
-def juxtapose(seq, z_start: float = 0.0) -> PiecewiseLinear:
-    """Concatenate segments left to right starting at z_start.
+def _lines(table, rows, per_line, z_starts) -> tuple:
+    """Cells of lines of segments laid end to end, and the row each line starts at.
 
-    No continuity is required (or enforced) across the joins.
+    Line g lays out the next per_line[g] table rows from z_starts[g].  A
+    segment starts at z_start plus the running sum of the fsum lengths
+    before it, and its breakpoints add the cumulative sum of its widths.
     """
-    if isinstance(seq, SegmentSequence):
-        items = seq.items
-    elif isinstance(seq, Segment):
-        items = (seq,)
-    else:
-        items = tuple(seq)
-    if not items:
-        raise InvariantError("nothing to juxtapose")
-    blocks = []
-    z = z_start
-    for seg in items:
-        blocks.append(seg.cells(z))
-        z += seg.length
-    return PiecewiseLinear(np.vstack(blocks))
+    widths, values, counts, lengths = table
+    rows, per_line = np.asarray(rows, dtype=np.intp), np.asarray(per_line, dtype=np.intp)
+    line = np.repeat(np.arange(per_line.size), per_line)
+    pos = np.arange(rows.size) - np.repeat(np.cumsum(per_line) - per_line, per_line)
+    z = np.zeros((per_line.size, int(per_line.max()) + 1))
+    z[:, 0] = z_starts
+    z[line, pos + 1] = lengths[rows]
+    z = np.cumsum(z, axis=1)[line, pos]
+    bp = np.concatenate((np.zeros((rows.size, 1)), np.cumsum(widths[rows], axis=1)), axis=1)
+    bp += z[:, None]
+    v = values[rows]
+    live = np.arange(widths.shape[1]) < counts[rows][:, None]
+    cells = np.stack((bp[:, :-1], bp[:, 1:], v[:, :-1], v[:, 1:]), axis=-1)[live]
+    sizes = np.bincount(line, weights=counts[rows]).astype(np.intp)
+    return cells, np.cumsum(sizes) - sizes
+
+
+def _juxtapose(segments, z_start: float) -> np.ndarray:
+    """Cells of Segments laid end to end from z_start; no continuity across joins."""
+    pairs = _pairs(segments)
+    return _lines(_table(pairs), np.arange(len(pairs)), [len(pairs)], [z_start])[0]
 
 
 def _cell_tables(cells: np.ndarray, alphas: np.ndarray):
@@ -310,21 +276,25 @@ def _screened_groups(cells: np.ndarray, starts, alphas: np.ndarray, tables=None)
     return -(total + 2.0 * cross).T
 
 
-def _check_alpha(alpha: float) -> None:
-    if not (alpha > 0.0 and math.isfinite(alpha)):
+def _check_alphas(alphas) -> np.ndarray:
+    al = np.atleast_1d(np.asarray(alphas, dtype=float))
+    if not np.all((al > 0.0) & np.isfinite(al)):
         raise InvariantError("alpha must be positive and finite")
+    return al
 
 
 def screened_energy(w, alpha: float) -> float:
-    """E_alpha(w) = -int int w w' exp(-alpha |y-y'|) over w's support."""
-    _check_alpha(alpha)
-    if isinstance(w, Segment):
-        cells = w.cells()
-    elif isinstance(w, PiecewiseLinear):
-        cells = w.cells
-    else:
-        cells = np.asarray(w, dtype=float)
-    return float(_screened_groups(cells, [0], np.array([float(alpha)]))[0, 0])
+    """E_alpha(w) = -int int w w' exp(-alpha |y-y'|) over w's support.
+
+    w is a Segment or an (n, 4) array of non-overlapping (a, b, va, vb)
+    cells in any order.
+    """
+    al = _check_alphas(alpha)
+    cells = w.cells() if isinstance(w, Segment) else np.asarray(w, dtype=float)
+    bad = cells.ndim != 2 or cells.shape[1] != 4 or not len(cells)
+    if bad or np.any(cells[:, 1] <= cells[:, 0]):
+        raise InvariantError("cells must be a nonempty (n, 4) array of positive width")
+    return float(_screened_groups(cells, [0], al)[0, 0])
 
 
 def _periodic_cross_groups(cells: np.ndarray, starts, periods, alphas: np.ndarray) -> np.ndarray:
@@ -352,10 +322,14 @@ def _periodic_cross_groups(cells: np.ndarray, starts, periods, alphas: np.ndarra
     return c0 + (2.0 * wl * wr / one_minus).T
 
 
-def _reflection_period(seg: Segment) -> tuple:
-    """Cells and length of seg glued to its reflection: one period of e_infinity."""
-    period = juxtapose((seg, seg.reflect()))
-    return period.cells, period.length
+def _period_cross(table, alphas: np.ndarray) -> tuple:
+    """Periodic cross energy (S, A) of each segment glued to its reflection,
+    one period of e_infinity, and the periods (S,)."""
+    S = table[2].size // 2
+    rows = np.column_stack([np.arange(S), np.arange(S, 2 * S)]).ravel()
+    cells, starts = _lines(table, rows, np.full(S, 2), np.zeros(S))
+    P = _group_sums((cells[:, 1] - cells[:, 0])[None, :], starts)[0]
+    return _periodic_cross_groups(cells, starts, P, alphas), P
 
 
 def e_infinity(seg: Segment, alpha: float) -> float:
@@ -366,9 +340,10 @@ def e_infinity(seg: Segment, alpha: float) -> float:
     cross energy of one period up to a term bounded in N, so the density
     is minus that cross energy over P, in closed form for every alpha.
     """
-    _check_alpha(alpha)
-    cells, P = _reflection_period(seg)
-    return float(-_periodic_cross_groups(cells, [0], [P], np.array([float(alpha)]))[0, 0] / P)
+    if not isinstance(seg, Segment):
+        raise InvariantError("e_infinity takes one Segment")
+    cross, P = _period_cross(_table(_pairs(seg)), _check_alphas(alpha))
+    return float(-cross[0, 0] / P[0])
 
 
 @dataclass(frozen=True)
@@ -403,41 +378,32 @@ class MasterReport:
     ok: bool
 
 
-def _as_items(side) -> tuple:
-    if side is None:
-        return ()
-    if isinstance(side, SegmentSequence):
-        return side.items
-    if isinstance(side, Segment):
-        return (side,)
-    return tuple(side)
-
-
-def _rp_groups(minus_items: tuple, plus_items: tuple) -> list:
-    """Cells of (F-, F+) on its line, then of the symmetrized sequences
-    (reflected F+, F+) and (F-, reflected F-) for each nonempty side."""
-    len_minus = math.fsum(s.length for s in minus_items)
-    len_plus = math.fsum(s.length for s in plus_items)
-    groups = [juxtapose(minus_items + plus_items, z_start=-len_minus).cells]
-    if plus_items:
-        sym_plus = tuple(s.reflect() for s in reversed(plus_items)) + plus_items
-        groups.append(juxtapose(sym_plus, z_start=-len_plus).cells)
-    if minus_items:
-        sym_minus = minus_items + tuple(s.reflect() for s in reversed(minus_items))
-        groups.append(juxtapose(sym_minus, z_start=-len_minus).cells)
-    return groups
-
-
 def _rp_values(cases, alphas: np.ndarray) -> tuple:
     """lhs and rhs of reflection positivity per (minus, plus) case, each (C, A).
 
-    The groups of every case go through one _screened_groups call; rhs
-    is the mean of the symmetrized energies, 0 for an empty side.
+    Sides are lists of (widths, values).  A case's lines are (F-, F+) from
+    -|F-|, then (reflected F+, F+) from -|F+| and (F-, reflected F-) from
+    -|F-| for each nonempty side, all priced in one _screened_groups call.
+    rhs is the mean of the symmetrized energies, 0 for an empty side.
     """
-    per_case = [_rp_groups(minus, plus) for minus, plus in cases]
-    groups = [g for case in per_case for g in case]
-    energies = _screened_groups(np.vstack(groups), _group_starts(groups), alphas)
-    counts = np.array([len(case) for case in per_case])
+    table = _table([seg for minus, plus in cases for seg in minus + plus])
+    S, lengths = table[2].size // 2, table[3]
+    lines, counts, i = [], [], 0
+    for minus, plus in cases:
+        j = i + len(minus)
+        m, p, i = list(range(i, j)), list(range(j, j + len(plus))), j + len(plus)
+        len_minus, len_plus = math.fsum(lengths[m]), math.fsum(lengths[p])
+        case = [(m + p, -len_minus)]
+        if p:
+            case.append(([S + r for r in reversed(p)] + p, -len_plus))
+        if m:
+            case.append((m + [S + r for r in reversed(m)], -len_minus))
+        lines += case
+        counts.append(len(case))
+    rows = [r for segs, _ in lines for r in segs]
+    cells, starts = _lines(table, rows, [len(segs) for segs, _ in lines], [z for _, z in lines])
+    energies = _screened_groups(cells, starts, alphas)
+    counts = np.array(counts)
     first = np.cumsum(counts) - counts
     half = 0.5 * energies
     rhs = half[first + 1]
@@ -451,49 +417,44 @@ def check_rp_inequality(minus, plus, alpha: float) -> RPReport:
 
     The energy of (F-, F+) dominates the mean of the energies of the
     two symmetrized sequences (reflected F+, F+) and (F-, reflected F-).
-    Either side may be empty, in which case its symmetrized term is 0.
+    Each side is None, a Segment or a sequence of Segments; either may
+    be empty, in which case its symmetrized term is 0.
     """
-    _check_alpha(alpha)
-    minus_items = _as_items(minus)
-    plus_items = _as_items(plus)
-    if not minus_items and not plus_items:
+    al = _check_alphas(alpha)
+    minus, plus = _pairs(minus), _pairs(plus)
+    if not minus and not plus:
         raise InvariantError("at least one side must be nonempty")
-    lhs, rhs = _rp_values([(minus_items, plus_items)], np.array([float(alpha)]))
+    lhs, rhs = _rp_values([(minus, plus)], al)
     lhs, rhs = float(lhs[0, 0]), float(rhs[0, 0])
     slack = lhs - rhs
     return RPReport(alpha=float(alpha), lhs=lhs, rhs=rhs, slack=slack, ok=slack >= -1e-9)
 
 
 def _chessboard_values(seqs, alphas: np.ndarray) -> tuple:
-    """Energy of each juxtaposed sequence and its periodized bound, each (C, A).
+    """Energy of each sequence laid out from 0 and its periodized bound, each (C, A).
 
-    The bound is the math.fsum of |S_i| e_infinity(S_i) over the
-    sequence.  Every sequence goes through one _screened_groups call and
-    every segment's reflection period through one _periodic_cross_groups
-    call.
+    A sequence is a list of (widths, values); its bound is the math.fsum
+    of |S_i| e_infinity(S_i).  One call per kernel prices every sequence.
     """
-    lines = [juxtapose(items).cells for items in seqs]
-    lhs = _screened_groups(np.vstack(lines), _group_starts(lines), alphas)
-    segs = [seg for items in seqs for seg in items]
-    periods = [_reflection_period(seg) for seg in segs]
-    cells = [c for c, _ in periods]
-    P = np.array([length for _, length in periods])
-    cross = _periodic_cross_groups(np.vstack(cells), _group_starts(cells), P, alphas)
-    terms = np.array([seg.length for seg in segs])[:, None] * (-cross / P[:, None])
-    ends = np.cumsum([len(items) for items in seqs])[:-1]
+    table = _table([seg for seq in seqs for seg in seq])
+    per_seq = [len(seq) for seq in seqs]
+    cells, starts = _lines(table, np.arange(sum(per_seq)), per_seq, np.zeros(len(seqs)))
+    lhs = _screened_groups(cells, starts, alphas)
+    cross, P = _period_cross(table, alphas)
+    terms = table[3][: P.size, None] * (-cross / P[:, None])
     rhs = np.array(
-        [[math.fsum(col) for col in block.T] for block in np.split(terms, ends)]
+        [[math.fsum(col) for col in block.T] for block in np.split(terms, np.cumsum(per_seq)[:-1])]
     )
     return lhs, rhs
 
 
 def check_chessboard_bound(seq, alpha: float) -> ChessboardReport:
-    """Energy of a juxtaposed sequence vs. its periodized lower bound."""
-    items = _as_items(seq)
-    if not items:
+    """Energy of a sequence of Segments laid end to end vs. its periodized lower bound."""
+    pairs = _pairs(seq)
+    if not pairs:
         raise InvariantError("sequence must be nonempty")
-    _check_alpha(alpha)
-    lhs, rhs = _chessboard_values([items], np.array([float(alpha)]))
+    al = _check_alphas(alpha)
+    lhs, rhs = _chessboard_values([pairs], al)
     lhs, rhs = float(lhs[0, 0]), float(rhs[0, 0])
     slack = lhs - rhs
     scale = max(abs(lhs), 1e-12)
@@ -507,51 +468,27 @@ def check_chessboard_bound(seq, alpha: float) -> ChessboardReport:
     )
 
 
-def _profile_cells(profile: SawtoothProfile) -> np.ndarray:
-    ys, vs = profile.nodes()
-    return np.column_stack([ys[:-1], ys[1:], vs[:-1], vs[1:]])
-
-
 def _anchor_at_corner(profile: SawtoothProfile) -> SawtoothProfile:
-    if profile.corners[0] == 0.0:
-        return profile
-    return profile.translated(-profile.corners[0])
-
-
-def _cells_l2(cells: np.ndarray) -> float:
-    a, b, va, vb = cells.T
-    return float(np.sum((b - a) * (va * va + va * vb + vb * vb) / 3.0))
-
-
-def _check_alphas(alphas) -> np.ndarray:
-    al = np.atleast_1d(np.asarray(alphas, dtype=float))
-    if not np.all((al > 0.0) & np.isfinite(al)):
-        raise InvariantError("alpha must be positive and finite")
-    return al
+    return profile if profile.corners[0] == 0.0 else profile.translated(-profile.corners[0])
 
 
 def _profile_mismatch(profiles, alphas: np.ndarray) -> np.ndarray:
     """screened_mismatch of each corner-anchored profile, shape (C, A)."""
-    cells = [_profile_cells(prof) for prof in profiles]
-    u2 = np.array([_cells_l2(c) for c in cells])
-    periods = [prof.period for prof in profiles]
-    cross = _periodic_cross_groups(np.vstack(cells), _group_starts(cells), periods, alphas)
+    nodes = (prof.nodes() for prof in profiles)
+    blocks = [np.column_stack([y[:-1], y[1:], v[:-1], v[1:]]) for y, v in nodes]
+    cells, starts = np.vstack(blocks), _group_starts(blocks)
+    a, b, va, vb = cells.T
+    u2 = _group_sums(((b - a) * (va * va + va * vb + vb * vb) / 3.0)[None, :], starts)[0]
+    cross = _periodic_cross_groups(cells, starts, [prof.period for prof in profiles], alphas)
     return 4.0 * u2[:, None] / alphas - 2.0 * cross
 
 
 def _span_mismatch(va, vb, width, alphas: np.ndarray) -> np.ndarray:
-    """Mismatch of each linear span against its reflection extension, (S, A).
-
-    Span s is a 2-cell group of period 2 * width[s]: the span, then its
-    mirror image.
-    """
-    zero = np.zeros_like(width)
-    cells = np.stack(
-        [np.column_stack([zero, width, va, vb]), np.column_stack([width, 2.0 * width, vb, va])],
-        axis=1,
-    ).reshape(-1, 4)
+    """Mismatch of each linear span, a one-piece segment, against its reflection extension."""
+    both = np.concatenate([width, width])
+    values = np.column_stack([np.concatenate([va, vb]), np.concatenate([vb, va])])
+    cross, _ = _period_cross((both[:, None], values, np.ones(both.size, np.intp), both), alphas)
     u2 = width * (va * va + va * vb + vb * vb) / 3.0
-    cross = _periodic_cross_groups(cells, np.arange(0, cells.shape[0], 2), 2.0 * width, alphas)
     return 4.0 * u2[:, None] / alphas - cross
 
 
@@ -569,8 +506,7 @@ def screened_mismatch(profile: SawtoothProfile, alphas) -> np.ndarray:
     Equals int_0^h dy int_R dy' |u(y) - u_per(y')|^2 exp(-alpha|y-y'|),
     evaluated as 4/alpha * ||u||^2 - 2 * (periodic cross energy).
     """
-    al = _check_alphas(alphas)
-    return _profile_mismatch([_anchor_at_corner(profile)], al)[0]
+    return _profile_mismatch([_anchor_at_corner(profile)], _check_alphas(alphas))[0]
 
 
 def _master_values(profiles, alphas: np.ndarray) -> tuple:
@@ -592,62 +528,10 @@ def _master_values(profiles, alphas: np.ndarray) -> tuple:
     return lhs, rhs
 
 
-def _log_simpson(values: np.ndarray, tgrid: np.ndarray) -> float:
-    n = tgrid.size
-    if n < 3 or n % 2 == 0:
-        raise InvariantError("need an odd number of nodes")
-    h = (tgrid[-1] - tgrid[0]) / (n - 1)
-    w = np.ones(n)
-    w[1:-1:2] = 4.0
-    w[2:-2:2] = 2.0
-    return float(h / 3.0 * np.dot(w, values))
-
-
-def bump_alpha_energy(va: float, vb: float, width: float, nodes: int = 1025) -> float:
-    """alpha-integrated mismatch of a single linear span.
-
-    For slope +-1 this reproduces c0 * width^2: integrating the
-    screened mismatch against alpha d(alpha) recovers the 1/d^2 kernel.
-    Uses log-grid Simpson plus analytic corrections: the integrand
-    tends to a constant a0 at small alpha and decays like
-    4*width*slope^2/alpha^2 at large alpha.
-    """
-    amin, amax = 1e-4 / width, 1e4 / width
-    t = np.linspace(math.log(amin), math.log(amax), nodes)
-    al = np.exp(t)
-    span = (np.array([va], dtype=float), np.array([vb], dtype=float), np.array([width], dtype=float))
-    vals = al * al * _span_mismatch(*span, al)[0]
-    mean = 0.5 * (va + vb)
-    u2 = width * (va * va + va * vb + vb * vb) / 3.0
-    a0 = 4.0 * u2 - 4.0 * width * mean * mean
-    slope = (vb - va) / width
-    return _log_simpson(vals, t) + a0 * amin + 4.0 * width * slope * slope / amax
-
-
-def profile_alpha_energy(profile: SawtoothProfile, nodes: int = 1025) -> float:
-    """alpha-integrated mismatch of a whole profile.
-
-    Recovers the fractional half-norm of the profile by the kernel
-    identity, entirely through real-space closed forms.
-    """
-    h = profile.period
-    amin, amax = 1e-4 / h, 1e4 / h
-    t = np.linspace(math.log(amin), math.log(amax), nodes)
-    al = np.exp(t)
-    vals = al * al * screened_mismatch(profile, al)
-    prof = _anchor_at_corner(profile)
-    cells = _profile_cells(prof)
-    u2 = _cells_l2(cells)
-    mean = prof.mean()
-    a0 = 4.0 * u2 - 4.0 * h * mean * mean
-    return _log_simpson(vals, t) + a0 * amin + 4.0 * h / amax
-
-
 def check_master_inequality(
     profile: SawtoothProfile,
     alphas=(0.1, 1.0, 10.0),
     integrate: bool = True,
-    nodes: int = 1025,
 ) -> MasterReport:
     """Mismatch of the whole profile vs. the sum over its spans.
 
@@ -655,73 +539,48 @@ def check_master_inequality(
     the per-span mismatches taken with reflection extensions; the two
     agree exactly for equispaced profiles, whose reflections reproduce
     the profile.  With integrate=True the alpha-integrated version is
-    evaluated too, whose span sum approaches c0 * sum(span^2).
+    reported too.  By the kernel identity it is in closed form: the
+    whole-profile side is h_half_sq(profile) and a span from va to vb
+    gives c0 (vb - va)^2, so it reads h_half_sq >= c0 sum (vb - va)^2,
+    the striped lower bound of one_dim.lower_bound_decomposition.
     """
     al = _check_alphas(alphas)
     prof = _anchor_at_corner(profile)
     lhs, rhs = _master_values([prof], al)
     lhs, rhs = lhs[0], rhs[0]
     va, vb, gaps = _spans(prof)
-    int_rhs = 0.0
-    if integrate:
-        for i in range(gaps.size):
-            int_rhs += bump_alpha_energy(va[i], vb[i], float(gaps[i]), nodes)
     slack = lhs - rhs
     scale = max(1.0, float(np.max(np.abs(lhs))))
-    int_lhs = profile_alpha_energy(prof, nodes) if integrate else float("nan")
-    c0_quad = C0 * float(np.sum(gaps * gaps))
     ok = bool(np.min(slack) >= -1e-9 * scale)
+    int_lhs = int_rhs = math.nan
     if integrate:
-        ok = ok and (int_lhs >= int_rhs - 1e-6 * max(1.0, abs(int_lhs)))
+        int_lhs = h_half_sq(profile)
+        int_rhs = C0 * float(np.sum((vb - va) ** 2))
+        ok = ok and int_lhs >= int_rhs - 1e-9 * max(1.0, abs(int_lhs))
     return MasterReport(
         alphas=tuple(float(x) for x in al),
         lhs=tuple(float(x) for x in lhs),
         rhs=tuple(float(x) for x in rhs),
         slack=tuple(float(x) for x in slack),
         min_slack=float(np.min(slack)),
-        integrated_lhs=float(int_lhs),
-        integrated_rhs=float(int_rhs) if integrate else float("nan"),
-        c0_quadratic=c0_quad,
+        integrated_lhs=int_lhs,
+        integrated_rhs=int_rhs,
+        c0_quadratic=C0 * float(np.sum(gaps * gaps)),
         ok=ok,
     )
 
 
-def kernel_identity_check(ds=(0.1, 1.0, 3.0), nodes: int = 2001):
-    """Quadrature check of int_0^inf alpha exp(-alpha d) d(alpha) = 1/d^2."""
-    out = []
-    for d in ds:
-        d = float(d)
-        amin, amax = 1e-6 / d, 100.0 / d
-        t = np.linspace(math.log(amin), math.log(amax), nodes)
-        al = np.exp(t)
-        est = _log_simpson(al * al * np.exp(-al * d), t)
-        est += 0.5 * amin * amin
-        xmax = amax * d
-        est += math.exp(-xmax) * (1.0 + xmax) / (d * d)
-        exact = 1.0 / (d * d)
-        out.append(
-            {"d": d, "estimate": est, "exact": exact, "rel_error": abs(est - exact) * d * d}
-        )
-    return out
+def _draw_segment(rng: np.random.Generator, max_pieces: int) -> tuple:
+    """Widths and values of a random segment with O(1) length and values."""
+    pieces = int(rng.integers(1, max_pieces + 1))
+    length = float(rng.uniform(0.2, 1.5))
+    raw = rng.uniform(0.1, 1.0, size=pieces)
+    return raw / raw.sum() * length, rng.uniform(-1.0, 1.0, size=pieces + 1)
 
 
 def random_segment(rng: np.random.Generator, max_pieces: int = 3) -> Segment:
     """Random piecewise-linear segment with O(1) length and values."""
-    pieces = int(rng.integers(1, max_pieces + 1))
-    length = float(rng.uniform(0.2, 1.5))
-    raw = rng.uniform(0.1, 1.0, size=pieces)
-    widths = raw / raw.sum() * length
-    values = rng.uniform(-1.0, 1.0, size=pieces + 1)
-    return Segment(tuple(widths), tuple(values))
-
-
-def _family_stats(slacks) -> dict:
-    arr = np.asarray(slacks, dtype=float)
-    return {
-        "count": int(arr.size),
-        "min_slack": float(arr.min()),
-        "mean_slack": float(arr.mean()),
-    }
+    return Segment(*_draw_segment(rng, max_pieces))
 
 
 def _blocks(draw, trials: int, size, n_alphas: int):
@@ -729,8 +588,7 @@ def _blocks(draw, trials: int, size, n_alphas: int):
 
     A block takes cases while its cells times n_alphas stay within
     _BLOCK_ENTRIES; a single larger case makes a block of its own.  That
-    sizes each (cells x alphas) array of the block, not the working set:
-    pricing a block holds about 20 such arrays (_cell_tables) at once.
+    bounds each (cells x alphas) array, not the working set of about 20.
     """
     block, entries = [], 0
     for _ in range(trials):
@@ -744,10 +602,6 @@ def _blocks(draw, trials: int, size, n_alphas: int):
     yield block
 
 
-def _pieces(segments) -> int:
-    return sum(len(seg.widths) for seg in segments)
-
-
 def verify_suite(trials: int = 100, seed: int = 0, alphas=(0.1, 1.0, 10.0)) -> dict:
     """Randomized verification of the three inequality families.
 
@@ -755,16 +609,11 @@ def verify_suite(trials: int = 100, seed: int = 0, alphas=(0.1, 1.0, 10.0)) -> d
     chessboard bound, master inequality on sawtooth profiles) at each
     alpha, and reports min/mean slacks suitable for JSON serialization.
 
-    The cases are those of a loop calling check_rp_inequality,
-    check_chessboard_bound and check_master_inequality case by case:
-    the same draws in the same order, the slacks in (trial, alpha)
-    order.  A family's cases are drawn and then priced together, a
-    block at a time: all cell groups of a block, at every alpha, go
-    through one grouped kernel call (two for the chessboard and master
-    families), and a block's cells times alphas stay within
-    _BLOCK_ENTRIES.  The budget bounds each array of a block, not the
-    working set, which is about 20 arrays of that size: peak RSS is
-    bounded in `trials` and plateaus near 85 MB from about 4,000 trials.
+    The cases and slacks are those of check_rp_inequality,
+    check_chessboard_bound and check_master_inequality called case by
+    case and alpha by alpha.  A family's cases are priced a block at a
+    time (_blocks) in one call per grouped kernel; peak RSS is bounded
+    in `trials` and plateaus near 85 MB from about 4,000 trials.
     """
     if not isinstance(trials, (int, np.integer)) or trials < 1:
         raise InvariantError(f"trials: must be a positive integer, got {trials!r}")
@@ -774,14 +623,17 @@ def verify_suite(trials: int = 100, seed: int = 0, alphas=(0.1, 1.0, 10.0)) -> d
     rng = np.random.default_rng(seed)
     al = np.array(alphas)
 
-    def segments(lo: int, hi: int) -> tuple:
-        return tuple(random_segment(rng) for _ in range(int(rng.integers(lo, hi))))
+    def segments(lo: int, hi: int) -> list:
+        return [_draw_segment(rng, 3) for _ in range(int(rng.integers(lo, hi)))]
+
+    def pieces(segs: list) -> int:
+        return 3 * sum(len(w) for w, _ in segs)
 
     # (name, draw one case, its cell count, price a block of cases)
     families = (
         ("rp", lambda: (segments(1, 4), segments(1, 4)),
-         lambda case: 3 * _pieces(case[0] + case[1]), _rp_values),
-        ("chessboard", lambda: segments(2, 7), lambda seq: 3 * _pieces(seq), _chessboard_values),
+         lambda case: pieces(case[0] + case[1]), _rp_values),
+        ("chessboard", lambda: segments(2, 7), pieces, _chessboard_values),
         ("master", lambda: _anchor_at_corner(random_profile(rng, 1.0)),
          lambda prof: 3 * len(prof.corners), _master_values),
     )
@@ -791,5 +643,8 @@ def verify_suite(trials: int = 100, seed: int = 0, alphas=(0.1, 1.0, 10.0)) -> d
         for block in _blocks(draw, int(trials), size, al.size):
             lhs, rhs = values(block, al)
             slacks.append((lhs - rhs).ravel())
-        report[name] = _family_stats(np.concatenate(slacks))
+        arr = np.concatenate(slacks)
+        report[name] = {
+            "count": int(arr.size), "min_slack": float(arr.min()), "mean_slack": float(arr.mean())
+        }
     return report

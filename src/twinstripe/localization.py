@@ -761,6 +761,13 @@ def local_error_terms(
     mismatches and pairings come from one merged grid of u0 and w, and
     the K windows' samples of H w' are scanned in one bmo_seminorm call.
     """
+    return _error_terms(u0, w, part)[0]
+
+
+def _error_terms(
+    u0: SawtoothProfile, w: ComparisonProfile, part: IntervalPartition
+) -> tuple[list[ErrorTerms], np.ndarray]:
+    """local_error_terms, and the K mismatches ||u0 - w||_{L2(I_k)} it used."""
     wp = w.profile
     grid = _merged_grid(u0, wp, part)
     pairings = _interval_pairings(wp, u0, part, grid)
@@ -779,7 +786,7 @@ def local_error_terms(
         err = math.sqrt(width) * dist
         cbar = 2.0 * abs(pairing) / err if dist > MATCH_FLOOR else 0.0
         out.append(ErrorTerms(k, err, bmo, pairing, cbar))
-    return out
+    return out, dists
 
 
 # -- certificate ---------------------------------------------------------------
@@ -905,9 +912,10 @@ def certificate_check(
     The per-interval ratio bounding the comparison mismatch by the
     distance between the two traces is measured and reported, never
     assumed.  Every per-interval L2 window (strain per x-cell, mismatch,
-    the ratio's numerator and denominator) is one ``_interval_l2_sq``
-    call over a merged grid of the profile pair, never a windowed
-    ``l2_distance``.  eta and kappa must be positive and finite.
+    the ratio's denominator) is one ``_interval_l2_sq`` call over a
+    merged grid of the profile pair, never a windowed ``l2_distance``;
+    the ratio's numerator is the mismatch of the error terms, priced
+    once.  eta and kappa must be positive and finite.
     """
     norm, scale = normalize_configuration(u)
     u0 = norm.profiles[0]
@@ -916,7 +924,7 @@ def certificate_check(
     _check_classify_inputs(norm, eta, kappa)
     cmp = build_comparison(u0, part)
     terms = _classify(norm, part, cmp, eta, kappa)
-    errors = local_error_terms(u0, cmp, part)
+    errors, nums = _error_terms(u0, cmp, part)
 
     target = part.period / part.m_corners
     spread_global = norm.params.beta * C0 * float(
@@ -925,11 +933,10 @@ def certificate_check(
     strain_global = strain_energy(norm)
     surface_excess = surface_energy(norm) - norm.params.epsilon * part.m_corners
 
-    nums = np.sqrt(_interval_l2_sq(u0, cmp.profile, part)).tolist()
     dens = np.sqrt(_interval_l2_sq(u0, u1, part)).tolist()
     ratios = [
         num / (width * den ** (1.0 / 3.0)) if den > 0 else math.nan
-        for num, den, width in zip(nums, dens, part.widths.tolist())
+        for num, den, width in zip(nums.tolist(), dens, part.widths.tolist())
     ]
 
     pairing_quad = float(sum(e.pairing for e in errors))

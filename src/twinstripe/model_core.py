@@ -31,10 +31,8 @@ __all__ = [
     "SawtoothProfile",
     "Configuration",
     "EnergyBreakdown",
-    "evaluate",
     "fourier_coefficient",
     "fourier_coefficients",
-    "interface_count",
     "l2_distance",
     "random_profile",
 ]
@@ -410,11 +408,6 @@ class EnergyBreakdown:
 # -- free-function operations ------------------------------------------------
 
 
-def evaluate(profile: SawtoothProfile, y) -> np.ndarray | float:
-    """Profile value u(y); thin wrapper kept for a flat functional API."""
-    return profile.evaluate(y)
-
-
 def fourier_coefficient(profile: SawtoothProfile, k: int) -> complex:
     """Coefficient (1/h) * integral of u(y) exp(-2 pi i k y / h) dy.
 
@@ -440,11 +433,6 @@ def fourier_coefficients(profile: SawtoothProfile, ks: np.ndarray) -> np.ndarray
     w = 2.0 * np.pi * ks / h
     phase = np.exp(-1j * np.outer(w, c))
     return -(phase @ ds) / (h * w**2)
-
-
-def interface_count(profile: SawtoothProfile) -> int:
-    """Number of slope changes per period."""
-    return profile.interface_count()
 
 
 def _window_pieces(period: float, window: tuple[float, float] | None) -> list[tuple[float, float]]:

@@ -701,7 +701,10 @@ def relax(
         hi = min(r[1] for r in ranges)
         d = line_search(step(state.profiles[0]), lo, hi, state.shift_pricer(range(n), i))
         if d is not None:
-            accept({j: _shift_pair(p, i, d) for j, p in enumerate(state.profiles)})
+            # stations that shared a profile share its shifted copy
+            distinct = {id(p): p for p in state.profiles}
+            moved = {key: _shift_pair(p, i, d) for key, p in distinct.items()}
+            accept({j: moved[id(p)] for j, p in enumerate(state.profiles)})
 
     def uniform_move() -> None:
         # cascade of neighbor copies: one station's profile everywhere,

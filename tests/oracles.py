@@ -10,6 +10,7 @@ import math
 import mpmath as mp
 import numpy as np
 
+from twinstripe import chessboard as cb
 from twinstripe.chessboard import (
     check_chessboard_bound,
     check_master_inequality,
@@ -118,6 +119,85 @@ def quad_screened_energy(cells, alpha: float, nodes_per_cell: int = 400) -> floa
     ker = np.exp(-alpha * np.abs(x[:, None] - x[None, :]))
     vw = v * w
     return float(-(vw @ ker @ vw))
+
+
+# -- alpha quadrature of the screened kernel ----------------------------------------
+# The kernel identity 1/d^2 = int_0^inf alpha exp(-alpha d) d(alpha) makes the
+# alpha-integrated screened mismatch a half-norm.  These integrate it by
+# Simpson's rule in log alpha, apart from the closed forms the package uses.
+
+
+def _log_simpson(values: np.ndarray, tgrid: np.ndarray) -> float:
+    n = tgrid.size
+    if n < 3 or n % 2 == 0:
+        raise ValueError("need an odd number of nodes")
+    h = (tgrid[-1] - tgrid[0]) / (n - 1)
+    w = np.ones(n)
+    w[1:-1:2] = 4.0
+    w[2:-2:2] = 2.0
+    return float(h / 3.0 * np.dot(w, values))
+
+
+def alpha_integral(mismatch, width: float, a0: float, tail: float, nodes: int = 1025) -> float:
+    """int_0^inf alpha * mismatch(alpha) d(alpha) for a pattern of the given width.
+
+    Simpson's rule in log alpha over [1e-4, 1e4] / width, plus both tails
+    in closed form: the integrand tends to a0 at small alpha and decays
+    like tail / alpha^2 at large alpha.
+    """
+    amin, amax = 1e-4 / width, 1e4 / width
+    t = np.linspace(math.log(amin), math.log(amax), nodes)
+    al = np.exp(t)
+    return _log_simpson(al * al * mismatch(al), t) + a0 * amin + tail / amax
+
+
+def bump_alpha_energy(va: float, vb: float, width: float, nodes: int = 1025) -> float:
+    """alpha-integrated mismatch of one linear span; c0 (vb - va)^2 in closed form."""
+    span = [np.array([x], dtype=float) for x in (va, vb, width)]
+    u2 = width * (va * va + va * vb + vb * vb) / 3.0
+    mean = 0.5 * (va + vb)
+    slope = (vb - va) / width
+    return alpha_integral(
+        lambda al: cb._span_mismatch(*span, al)[0],
+        width,
+        4.0 * u2 - 4.0 * width * mean * mean,
+        4.0 * width * slope * slope,
+        nodes,
+    )
+
+
+def profile_alpha_energy(profile, nodes: int = 1025) -> float:
+    """alpha-integrated mismatch of a whole profile; h_half_sq in closed form."""
+    h = profile.period
+    ys, vs = profile.nodes()
+    u2 = float(np.sum(np.diff(ys) * (vs[:-1] ** 2 + vs[:-1] * vs[1:] + vs[1:] ** 2) / 3.0))
+    mean = profile.mean()
+    return alpha_integral(
+        lambda al: cb.screened_mismatch(profile, al),
+        h,
+        4.0 * u2 - 4.0 * h * mean * mean,
+        4.0 * h,
+        nodes,
+    )
+
+
+def kernel_identity_check(ds=(0.1, 1.0, 3.0), nodes: int = 2001):
+    """Quadrature check of int_0^inf alpha exp(-alpha d) d(alpha) = 1/d^2."""
+    out = []
+    for d in ds:
+        d = float(d)
+        amin, amax = 1e-6 / d, 100.0 / d
+        t = np.linspace(math.log(amin), math.log(amax), nodes)
+        al = np.exp(t)
+        est = _log_simpson(al * al * np.exp(-al * d), t)
+        est += 0.5 * amin * amin
+        xmax = amax * d
+        est += math.exp(-xmax) * (1.0 + xmax) / (d * d)
+        exact = 1.0 / (d * d)
+        out.append(
+            {"d": d, "estimate": est, "exact": exact, "rel_error": abs(est - exact) * d * d}
+        )
+    return out
 
 
 # -- profile kernel as it was before the geometry cache ---------------------------

@@ -36,13 +36,11 @@ from twinstripe.one_dim import (
     make_w_m,
     optimal_even_m,
 )
-from twinstripe.chessboard import (
-    check_master_inequality,
-    kernel_identity_check,
-    verify_suite,
-)
+from twinstripe.chessboard import check_master_inequality, verify_suite
 from twinstripe import localization as loc
 from twinstripe import optimize as op
+
+from oracles import kernel_identity_check
 
 ZETA3 = 1.2020569031595942854
 UNIT = ModelParams(1.0, 1e-3, 1.0, 1.0)

@@ -28,30 +28,31 @@ def test_segment_validation():
 
 def test_reflect_examples():
     ramp = cb.Segment.linear(0.0, 1.0, 1.0)
-    mirrored = cb.reflect(ramp)
+    mirrored = ramp.reflect()
     assert mirrored.values == (1.0, 0.0)
     bump = cb.Segment((0.5, 0.5), (0.0, 1.0, 0.0))
-    assert cb.reflect(bump) == bump
+    assert bump.reflect() == bump
     rng = np.random.default_rng(1)
     for _ in range(20):
         seg = cb.random_segment(rng)
-        assert cb.reflect(cb.reflect(seg)) == seg
+        assert seg.reflect().reflect() == seg
 
 
 def test_juxtapose_single_and_tent():
     ramp = cb.Segment.linear(0.0, 1.0, 1.0)
-    pl = cb.juxtapose((ramp,))
-    assert pl.domain == (0.0, 1.0)
-    tent = cb.juxtapose((ramp, cb.reflect(ramp)))
-    assert tent.domain == (0.0, 2.0)
-    assert tent.cells.shape == (2, 4)
+    cells = cb._juxtapose((ramp,), 0.0)
+    assert (cells[0, 0], cells[-1, 1]) == (0.0, 1.0)
+    tent = cb._juxtapose((ramp, ramp.reflect()), 0.0)
+    assert (tent[0, 0], tent[-1, 1]) == (0.0, 2.0)
+    assert tent.shape == (2, 4)
     # mirror gluing: values rise to 1 at the join then fall back
-    assert tent.cells[0, 3] == 1.0 and tent.cells[1, 2] == 1.0 and tent.cells[1, 3] == 0.0
+    assert tent[0, 3] == 1.0 and tent[1, 2] == 1.0 and tent[1, 3] == 0.0
     rng = np.random.default_rng(2)
     segs = [cb.random_segment(rng) for _ in range(4)]
-    pl = cb.juxtapose(segs, z_start=-1.0)
-    assert pl.length == pytest.approx(sum(s.length for s in segs), rel=1e-12)
-    assert pl.domain[0] == pytest.approx(-1.0)
+    cells = cb._juxtapose(segs, -1.0)
+    length = np.sum(cells[:, 1] - cells[:, 0])
+    assert length == pytest.approx(sum(s.length for s in segs), rel=1e-12)
+    assert cells[0, 0] == pytest.approx(-1.0)
 
 
 def test_screened_energy_zero_and_constant():
@@ -67,10 +68,10 @@ def test_screened_energy_against_quadrature():
     rng = np.random.default_rng(3)
     for _ in range(6):
         seg = cb.random_segment(rng)
-        pl = cb.juxtapose((seg, cb.reflect(seg)))
+        cells = cb._juxtapose((seg, seg.reflect()), 0.0)
         for alpha in (0.3, 1.0, 5.0):
-            got = cb.screened_energy(pl, alpha)
-            want = oracles.quad_screened_energy(pl.cells, alpha, nodes_per_cell=800)
+            got = cb.screened_energy(cells, alpha)
+            want = oracles.quad_screened_energy(cells, alpha, nodes_per_cell=800)
             assert got == pytest.approx(want, rel=5e-6, abs=1e-6)
 
 
@@ -111,7 +112,10 @@ def test_screened_energy_rejects_bad_input():
     with pytest.raises(InvariantError):
         cb.screened_energy(seg, 0.0)
     with pytest.raises(InvariantError):
-        cb.PiecewiseLinear([[0.0, 1.0, 0.0, 1.0], [0.5, 1.5, 0.0, 1.0]])
+        cb.screened_energy([[0.0, 1.0, 0.0, 1.0], [0.5, 1.5, 0.0, 1.0]], 1.0)
+    for bad in ([[0.0, 0.0, 1.0, 1.0]], [[0.0, 1.0, 1.0]], np.zeros((0, 4))):
+        with pytest.raises(InvariantError):
+            cb.screened_energy(bad, 1.0)
 
 
 def test_e_infinity_matches_explicit_chain():
@@ -122,17 +126,24 @@ def test_e_infinity_matches_explicit_chain():
     rng = np.random.default_rng(11)
     for _ in range(3):
         seg = cb.random_segment(rng)
-        period = (seg, cb.reflect(seg))
+        period = (seg, seg.reflect())
         for alpha in (0.3, 2.0):
             n = math.ceil(12.0 * math.log(10.0) / (alpha * 2.0 * seg.length))
 
             def density(periods):
-                chain = cb.juxtapose(period * periods)
-                return cb.screened_energy(chain, alpha) / chain.length
+                chain = cb._juxtapose(period * periods, 0.0)
+                return cb.screened_energy(chain, alpha) / np.sum(chain[:, 1] - chain[:, 0])
 
             extrapolated = 2.0 * density(2 * n) - density(n)
             got = cb.e_infinity(seg, alpha)
             assert got == pytest.approx(extrapolated, rel=1e-12, abs=1e-12)
+
+
+def test_e_infinity_takes_one_segment():
+    seg = cb.Segment.constant(1.0, 1.0)
+    for bad in ((seg, seg), [seg], seg.cells()):
+        with pytest.raises(InvariantError):
+            cb.e_infinity(bad, 1.0)
 
 
 def test_e_infinity_constant_segment():
@@ -148,7 +159,7 @@ def test_e_infinity_reflection_invariant():
         seg = cb.random_segment(rng)
         for alpha in (0.5, 2.0):
             a = cb.e_infinity(seg, alpha)
-            b = cb.e_infinity(cb.reflect(seg), alpha)
+            b = cb.e_infinity(seg.reflect(), alpha)
             assert a == pytest.approx(b, rel=1e-12, abs=1e-14)
 
 
@@ -198,10 +209,8 @@ def test_rp_single_segment_reduction():
     rng = np.random.default_rng(14)
     seg = cb.random_segment(rng)
     rep = cb.check_rp_inequality(None, (seg,), 1.0)
-    lhs = cb.screened_energy(cb.juxtapose((seg,)), 1.0)
-    rhs = 0.5 * cb.screened_energy(
-        cb.juxtapose((seg.reflect(), seg), z_start=-seg.length), 1.0
-    )
+    lhs = cb.screened_energy(seg, 1.0)
+    rhs = 0.5 * cb.screened_energy(cb._juxtapose((seg.reflect(), seg), -seg.length), 1.0)
     assert rep.lhs == pytest.approx(lhs, rel=1e-14)
     assert rep.rhs == pytest.approx(rhs, rel=1e-14)
     assert rep.slack >= -1e-9
@@ -249,12 +258,21 @@ def test_chessboard_bound_tightens_for_repeated_symmetric_segment():
 def test_master_equality_for_equispaced_profile():
     params = model_core.ModelParams(beta=1.0, epsilon=1e-2, length_L=1.0, height_h=1.0)
     for m in (2, 4, 8):
-        rep = cb.check_master_inequality(one_dim.make_w_m(m, params))
+        prof = one_dim.make_w_m(m, params)
+        rep = cb.check_master_inequality(prof)
         assert max(abs(s) for s in rep.slack) < 1e-6
         assert rep.ok
-        # span sum of the integrated version collapses to c0 h^2 / M
+        # span sum of the integrated version collapses to c0 h^2 / M, and
+        # equal spacing makes it the half-norm
         assert rep.c0_quadratic == pytest.approx(one_dim.C0 / m, rel=1e-12)
-        assert rep.integrated_rhs == pytest.approx(rep.c0_quadratic, rel=1e-6)
+        assert rep.integrated_rhs == pytest.approx(rep.c0_quadratic, rel=1e-12)
+        assert rep.integrated_lhs == pytest.approx(rep.c0_quadratic, rel=1e-12)
+        # the alpha quadrature of the screened mismatches reproduces both
+        spans = zip(*cb._spans(cb._anchor_at_corner(prof)))
+        bumps = sum(oracles.bump_alpha_energy(*span) for span in spans)
+        assert bumps == pytest.approx(rep.c0_quadratic, rel=1e-6)
+        whole = oracles.profile_alpha_energy(prof)
+        assert whole >= bumps - 1e-6 * max(1.0, abs(whole))
 
 
 def test_master_inequality_random_profiles():
@@ -265,9 +283,10 @@ def test_master_inequality_random_profiles():
         assert rep.ok
         assert rep.min_slack >= -1e-9
         assert rep.integrated_lhs >= rep.integrated_rhs - 1e-9
-        assert rep.integrated_rhs == pytest.approx(rep.c0_quadratic, rel=1e-6)
+        assert rep.integrated_rhs == pytest.approx(rep.c0_quadratic, rel=1e-12)
         got = energy.h_half_sq_fourier(prof)
         assert rep.integrated_lhs == pytest.approx(got, rel=1e-4)
+        assert oracles.profile_alpha_energy(prof) == pytest.approx(rep.integrated_lhs, rel=1e-4)
 
 
 def test_screened_mismatch_spectral_oracle():
@@ -290,15 +309,22 @@ def test_screened_mismatch_spectral_oracle():
 
 def test_single_bump_alpha_integral_hits_c0():
     for width in (0.3, 1.0, 2.5):
-        rising = cb.bump_alpha_energy(0.0, width, width)
-        falling = cb.bump_alpha_energy(width, 0.0, width)
+        rising = oracles.bump_alpha_energy(0.0, width, width)
+        falling = oracles.bump_alpha_energy(width, 0.0, width)
         want = one_dim.C0 * width * width
         assert rising == pytest.approx(want, rel=1e-5)
         assert falling == pytest.approx(want, rel=1e-5)
+        # one tooth of period 2 width: a rising and a falling span, in
+        # either order, each worth c0 width^2 in closed form
+        for slope in (1, -1):
+            tooth = model_core.SawtoothProfile(2.0 * width, 0.0, slope, (0.0, width))
+            rep = cb.check_master_inequality(tooth)
+            assert rep.integrated_rhs == pytest.approx(2.0 * want, rel=1e-12)
+            assert rep.integrated_lhs == pytest.approx(2.0 * want, rel=1e-12)
 
 
 def test_kernel_identity():
-    for entry in cb.kernel_identity_check():
+    for entry in oracles.kernel_identity_check():
         assert entry["rel_error"] <= 1e-6
 
 

@@ -332,11 +332,7 @@ LIBRARY_TUNABLES = {
     "energy.l2_norm_sq": {"window"},
     "one_dim.make_w_m": {"y0", "a0"},
     "one_dim.cs_asymptotic_check": {"regime_factor"},
-    "chessboard.juxtapose": {"z_start"},
-    "chessboard.check_master_inequality": {"alphas", "integrate", "nodes"},
-    "chessboard.bump_alpha_energy": {"nodes"},
-    "chessboard.profile_alpha_energy": {"nodes"},
-    "chessboard.kernel_identity_check": {"ds", "nodes"},
+    "chessboard.check_master_inequality": {"alphas", "integrate"},
     "chessboard.random_segment": {"max_pieces"},
     "chessboard.verify_suite": {"trials", "seed", "alphas"},
     "localization.hilbert_transform": {"cutoff", "derivative", "period"},
@@ -376,7 +372,7 @@ def test_library_tunable_surface_is_pinned():
     # the tunable count tracked in ROADMAP.md: CLI flags per subcommand
     # plus the library surface above
     flags = sum(len(opts) for opts in OPTIONS.values())
-    assert flags + sum(len(names) for names in LIBRARY_TUNABLES.values()) == 87
+    assert flags + sum(len(names) for names in LIBRARY_TUNABLES.values()) == 81
 
 
 def test_cutoff_flag_is_gone(tmp_path, capsys):

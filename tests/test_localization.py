@@ -625,6 +625,36 @@ def test_certificate_builds_one_comparison_profile(monkeypatch):
     assert len(built) == 1
 
 
+def test_certificate_prices_the_comparison_mismatch_once(monkeypatch):
+    comparisons, grids = [], []
+    build, merged_grid = loc.build_comparison, loc._merged_grid
+
+    def recording_build(u0, part):
+        comparisons.append(build(u0, part))
+        return comparisons[-1]
+
+    def recording_grid(p, q, part):
+        grids.append(q)
+        return merged_grid(p, q, part)
+
+    monkeypatch.setattr(loc, "build_comparison", recording_build)
+    monkeypatch.setattr(loc, "_merged_grid", recording_grid)
+    rng = np.random.default_rng(5)
+    config = two_station_config(random_profile(rng, 1.0, 3), random_profile(rng, 1.0, 4), 0.5, 0.1)
+    report = loc.certificate_check(config)
+    # one grid of u0 and the comparison profile serves the pairing, the
+    # error terms' mismatch and the interpolation ratio's numerator
+    (cmp,) = comparisons
+    assert sum(q is cmp.profile for q in grids) == 1
+    norm, _ = loc.normalize_configuration(config)
+    u0, part = norm.profiles[0], loc.build_partition(norm.profiles[-1])
+    nums = np.sqrt(loc._interval_l2_sq(u0, cmp.profile, part)).tolist()
+    dens = np.sqrt(loc._interval_l2_sq(u0, norm.profiles[-1], part)).tolist()
+    widths = part.widths.tolist()
+    want = tuple(n / (w * d ** (1.0 / 3.0)) for n, d, w in zip(nums, dens, widths))
+    assert report.interpolation_ratios == want
+
+
 def test_certificate_makes_no_windowed_l2_calls(monkeypatch):
     windows = []
     original = l2_distance

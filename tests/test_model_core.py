@@ -15,7 +15,6 @@ from twinstripe.model_core import (
     SawtoothProfile,
     fourier_coefficient,
     fourier_coefficients,
-    interface_count,
     l2_distance,
     random_profile,
 )
@@ -74,7 +73,7 @@ def test_degenerate_corners_merge_pairwise():
     assert p.corners == (0.0, 0.5)
     assert p.interface_count() == 2
     # corner count stays even after the merge
-    assert interface_count(p) % 2 == 0
+    assert p.interface_count() % 2 == 0
 
 
 def test_periodicity_closure():

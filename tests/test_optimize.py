@@ -249,6 +249,36 @@ def test_relax_accepts_the_recorded_moves(stations, seed, max_iters):
     assert abs(hist[-1] - total) <= 1e-12 * total
 
 
+def test_column_move_keeps_a_shared_profile_shared(monkeypatch):
+    # the sweep's uniform move puts one profile object at every station;
+    # the column move after it must shift that object once and hand the
+    # same shifted profile to every station
+    params = ModelParams(1e-2, 1e-3, 1.0, 1.0)
+    m = optimal_even_m(params).m_star[0]
+    base = make_w_m(m, params, y0=0.3 / m)
+    cs = list(base.corners)
+    cs[1] += 0.02
+    cs[2] += 0.02
+    prof = SawtoothProfile(base.period, base.offset, base.initial_slope, tuple(cs))
+    start = Configuration(params, tuple(np.linspace(0.0, 1.0, 5)), (prof,) * 5)
+    accepts = []
+    apply = op._RelaxState.apply
+
+    def recording_apply(self, updates):
+        accepts.append(dict(updates))
+        apply(self, updates)
+
+    monkeypatch.setattr(op._RelaxState, "apply", recording_apply)
+    final = op.relax(start, op.RelaxOptions(max_iters=1))
+    uniform, column = accepts[-2], accepts[-1]
+    assert len(uniform) == len(column) == 5
+    assert len({id(p) for p in uniform.values()}) == 1
+    assert column[0].corners != uniform[0].corners
+    assert len(column[0].corners) == len(uniform[0].corners)
+    assert len({id(p) for p in column.values()}) == 1
+    assert len({id(p) for p in final.profiles}) == 1
+
+
 def trapezoid(prof, i, d, y):
     """new - old for corners i, i+1 of prof shifted by d, at the points y."""
     a = prof.slope_after_corners()[i - 1]
