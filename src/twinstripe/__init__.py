@@ -18,10 +18,8 @@ from .model_core import (
     l2_distance,
 )
 from .energy import (
-    austenite_energy,
     h_half_sq,
     h_half_sq_fourier,
-    h_half_sq_realspace,
     strain_energy,
     surface_energy,
     total_energy,
@@ -39,7 +37,6 @@ from .localization import (
     build_partition,
     certificate_check,
     classify_intervals,
-    hilbert_transform,
 )
 from .optimize import (
     RelaxOptions,

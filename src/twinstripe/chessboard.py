@@ -187,12 +187,14 @@ def _cell_tables(cells: np.ndarray, alphas: np.ndarray):
     x = al * T[None, :]
     ex = np.exp(-x)
     E1 = -np.expm1(-x)
-    xs = np.minimum(x, 0.5)
+    f2 = x - E1
+    ttail = E1 - x * ex
+    f4 = ttail - 0.5 * x * x + x**3 / 3.0
     small = x < 0.5
-    f2 = np.where(small, xs * xs * np.polyval(_P2_DESC, xs), x - E1)
-    f4s = xs**4 * np.polyval(_P4_DESC, xs)
-    f4 = np.where(small, f4s, E1 - x * ex - 0.5 * x * x + x**3 / 3.0)
-    ttail = np.where(small, 0.5 * xs * xs - xs**3 / 3.0 + f4s, E1 - x * ex)
+    xs = x[small]
+    f2[small] = xs * xs * np.polyval(_P2_DESC, xs)
+    f4[small] = xs**4 * np.polyval(_P4_DESC, xs)
+    ttail[small] = 0.5 * xs * xs - xs**3 / 3.0 + f4[small]
     inva = 1.0 / al
     R = va * E1 * inva + q * ttail * inva**2
     L = vb * E1 * inva - q * ttail * inva**2

@@ -10,8 +10,9 @@ which equals the double integral of |u(y) - u~(y')|^2 / |y - y'|^2
 with y over one period, y' over the whole line, and u~ the periodic
 extension.  The same quantity is 2 pi times the Dirichlet energy of
 the harmonic extension of u into the half-plane x < 0.  Energies use
-the exact corner-pair sum h_half_inner; the mode sum, the real-space
-integral and the extension are cross-checks.  The interface term of a
+the exact corner-pair sum h_half_inner; the mode sum h_half_sq_fourier
+is a cross-check, and the real-space integral and the extension are
+test oracles (tests/oracles.py).  The interface term of a
 configuration is beta times this half-norm of the x = 0 trace; the
 shear term is the exact strain of the piecewise-linear-in-x
 interpolation; the surface term charges epsilon per unit x-length per
@@ -21,17 +22,13 @@ two adjacent station counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model_core import (
     Configuration,
     EnergyBreakdown,
     InvariantError,
-    NonConvergenceError,
     SawtoothProfile,
-    _window_cuts,
     fourier_coefficients,
     l2_distance,
 )
@@ -39,23 +36,17 @@ from .one_dim import _zeta
 
 __all__ = [
     "DEFAULT_CUTOFF",
-    "AusteniteField",
     "h_half_inner",
     "pair_sum",
     "h_half_sq",
     "h_half_sq_fourier",
-    "h_half_sq_realspace",
-    "periodized_kernel",
     "strain_energy",
     "surface_energy",
-    "austenite_energy",
     "total_energy",
     "l2_norm_sq",
 ]
 
 DEFAULT_CUTOFF = 4096
-KERNEL_IMAGES = 64
-KERNEL_RTOL = 1e-6
 
 
 def h_half_sq_fourier(profile: SawtoothProfile, cutoff: int = DEFAULT_CUTOFF) -> float:
@@ -165,135 +156,11 @@ def h_half_sq(profile: SawtoothProfile) -> float:
     return h_half_inner(profile, profile)
 
 
-def periodized_kernel(
-    t: np.ndarray,
-    period: float,
-    images: int = KERNEL_IMAGES,
-    rtol: float = KERNEL_RTOL,
-) -> np.ndarray:
-    """sum_n 1/(t + n h)^2 for t in (0, h), via image sum plus analytic tail.
-
-    The tail over |n| > images is replaced by the midpoint integral
-    int_{images+1/2}^inf dn, whose Euler-Maclaurin remainder is bounded
-    explicitly; if that bound exceeds rtol relative to the kernel the
-    routine refuses rather than return an unconverged value.
-    """
-    t = np.asarray(t, dtype=float)
-    if np.any((t <= 0) | (t >= period)):
-        raise InvariantError("kernel argument must lie strictly inside (0, period)")
-    h = period
-    ns = np.arange(-images, images + 1)
-    body = np.sum(1.0 / (t[..., None] + ns * h) ** 2, axis=-1)
-    edge = (images + 0.5) * h
-    tail = (1.0 / (edge + t) + 1.0 / (edge - t)) / h
-    # |d/dn (nh +- t)^-2| / 24 at the integral's lower end, both branches
-    tail_bound = (h / 12.0) * (1.0 / (edge + t) ** 3 + 1.0 / (edge - t) ** 3)
-    value = body + tail
-    if np.any(tail_bound > rtol * value):
-        raise NonConvergenceError(
-            "periodized kernel tail bound exceeds tolerance; raise the image count"
-        )
-    return value
-
-
-def h_half_sq_realspace(
-    profile: SawtoothProfile,
-    quad_nodes: int = 4096,
-    images: int = KERNEL_IMAGES,
-) -> float:
-    """Half-norm squared from the folded double integral.
-
-    Midpoint sampling on an N x N periodic grid reduces, through the
-    circular autocorrelation of the samples, to a single sum over grid
-    offsets d of K(d h / N) * sum_i (u_i - u_{i-d})^2.  On the diagonal
-    the integrand tends to the squared slope, which is 1 a.e.
-    """
-    if quad_nodes < 64:
-        raise InvariantError("quad_nodes must be at least 64")
-    h = profile.period
-    n = int(quad_nodes)
-    y = (np.arange(n) + 0.5) * (h / n)
-    u = np.asarray(profile.evaluate(y))
-    fu = np.fft.rfft(u)
-    autocorr = np.fft.irfft(fu * np.conj(fu), n)  # C(d) = sum_i u_i u_{i-d}
-    sum_sq = float(np.dot(u, u))
-    d = np.arange(1, n)
-    kvals = periodized_kernel(d * (h / n), h, images=images)
-    off_diag = float(np.dot(kvals, 2.0 * sum_sq - 2.0 * autocorr[1:]))
-    diag = float(n)  # integrand -> slope^2 = 1 on the diagonal
-    return (h / n) ** 2 * (off_diag + diag)
-
-
-def l2_norm_sq(profile: SawtoothProfile, window: tuple[float, float] | None = None) -> float:
-    """Exact squared L2 norm of the profile over the window."""
-    total = 0.0
-    for cuts in _window_cuts(profile.nodes()[0], profile.period, window):
-        v = profile.evaluate(cuts)
-        va, vb = v[:-1], v[1:]
-        total += float(np.sum(np.diff(cuts) * (va * va + va * vb + vb * vb) / 3.0))
-    return total
-
-
-def _mode_sum(
-    coeffs: np.ndarray, period: float, y: np.ndarray, x: np.ndarray | None = None
-) -> np.ndarray:
-    """2 Re sum_k coeffs[k-1] exp(2 pi k (i y + x) / h), a block of points at a time."""
-    ks = np.arange(1, len(coeffs) + 1)
-    out = np.empty(y.shape)
-    step = max(1, _BLOCK_ENTRIES // len(ks))
-    for lo in range(0, len(y), step):
-        block = slice(lo, lo + step)
-        waves = np.exp(2j * np.pi * ks * y[block, None] / period)
-        if x is not None:
-            waves *= np.exp(2 * np.pi * ks * x[block, None] / period)
-        out[block] = 2.0 * np.real(waves @ coeffs)
-    return out
-
-
-@dataclass(frozen=True)
-class AusteniteField:
-    """Harmonic extension of a boundary trace into the half-plane x <= 0.
-
-    psi(x, y) = sum_k uhat(k) exp(2 pi i k y / h) exp(2 pi |k| x / h),
-    the decay rate matching each oscillation so psi is harmonic and
-    tends to the trace mean as x -> -inf.
-    """
-
-    boundary: SawtoothProfile
-    mode_cutoff: int = DEFAULT_CUTOFF
-
-    def __post_init__(self) -> None:
-        if self.mode_cutoff < 1:
-            raise InvariantError("mode_cutoff must be at least 1")
-
-    def evaluate(self, x, y) -> np.ndarray | float:
-        """psi at (x, y) for x <= 0 (vectorized over broadcastable inputs)."""
-        xx = np.asarray(x, dtype=float)
-        yy = np.asarray(y, dtype=float)
-        if np.any(xx > 0):
-            raise InvariantError("the extension lives in x <= 0")
-        h = self.boundary.period
-        ks = np.arange(1, self.mode_cutoff + 1)
-        coeffs = fourier_coefficients(self.boundary, ks)
-        xb, yb = np.broadcast_arrays(xx, yy)
-        waves = _mode_sum(coeffs, h, yb.reshape(-1), xb.reshape(-1))
-        out = (self.boundary.mean() + waves).reshape(xb.shape)
-        return float(out) if out.ndim == 0 else out
-
-
-def austenite_energy(field: AusteniteField, beta: float = 1.0) -> float:
-    """2 pi beta times the Dirichlet energy of the extension.
-
-    Assembled mode by mode from the gradient of psi:
-    each mode contributes (w_y^2 + w_x^2) |c_k|^2 h / (4 pi k / h)
-    with w_y = w_x = 2 pi k / h, summed over +-k.
-    """
-    h = field.boundary.period
-    ks = np.arange(1, field.mode_cutoff + 1)
-    coeffs = fourier_coefficients(field.boundary, ks)
-    w = 2.0 * np.pi * ks / h
-    mode_dirichlet = (w**2 + w**2) * np.abs(coeffs) ** 2 * h / (4.0 * np.pi * ks / h)
-    return float(2.0 * np.pi * beta * 2.0 * np.sum(mode_dirichlet))
+def l2_norm_sq(profile: SawtoothProfile) -> float:
+    """Exact squared L2 norm of the profile over one period."""
+    ys, v = profile.nodes()
+    va, vb = v[:-1], v[1:]
+    return float(np.sum(np.diff(ys) * (va * va + va * vb + vb * vb) / 3.0))
 
 
 def strain_energy(config: Configuration) -> float:

@@ -29,10 +29,8 @@ import numpy as np
 
 from .energy import (
     _BLOCK_ENTRIES,
-    DEFAULT_CUTOFF,
     _clausen2,
     _clausen3_less_zeta3,
-    _mode_sum,
     h_half_inner,
     h_half_sq,
     strain_energy,
@@ -43,21 +41,18 @@ from .model_core import (
     InvariantError,
     ModelParams,
     SawtoothProfile,
-    _window_cuts,
-    fourier_coefficients,
+    _merge_degenerate,
 )
 from .one_dim import C0, optimal_even_m
 
 __all__ = [
     "DEFAULT_ETA",
     "DEFAULT_KAPPA",
-    "HilbertSignal",
     "IntervalPartition",
     "ComparisonProfile",
     "LocalTerms",
     "ErrorTerms",
     "CertificateReport",
-    "hilbert_transform",
     "hilbert_slope_exact",
     "bmo_seminorm",
     "build_partition",
@@ -88,69 +83,6 @@ MATCH_FLOOR = 1e-12
 
 
 # -- Hilbert transform --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HilbertSignal:
-    """Real periodic function stored by one-sided spectrum.
-
-    coeffs[j] is the coefficient of exp(2 pi i (j+1) y / period); the
-    function is f(y) = 2 Re sum_j coeffs[j] exp(2 pi i (j+1) y / period),
-    mean zero by construction.
-    """
-
-    period: float
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not (self.period > 0 and math.isfinite(self.period)):
-            raise InvariantError("HilbertSignal.period must be positive")
-        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=complex))
-
-    def evaluate(self, y) -> np.ndarray | float:
-        yy = np.asarray(y, dtype=float)
-        out = _mode_sum(self.coeffs, self.period, yy.reshape(-1))
-        return float(out[0]) if yy.ndim == 0 else out.reshape(yy.shape)
-
-    def sample(self, n: int) -> np.ndarray:
-        """Values at y_j = j * period / n via the inverse FFT."""
-        if n < 2 * (len(self.coeffs) + 1):
-            raise InvariantError("sample count too small for the stored spectrum")
-        spectrum = np.zeros(n // 2 + 1, dtype=complex)
-        spectrum[1 : len(self.coeffs) + 1] = self.coeffs
-        return np.fft.irfft(spectrum, n) * n
-
-
-def hilbert_transform(
-    f,
-    cutoff: int = DEFAULT_CUTOFF,
-    derivative: bool = False,
-    period: float | None = None,
-) -> HilbertSignal:
-    """Periodic Hilbert transform, one mode at a time.
-
-    The multiplier is 2 pi (-i k / |k|); the k = 0 mode is dropped, so
-    constants map to zero.  Accepts a sawtooth profile (optionally
-    transforming its slope w' instead, via ``derivative=True``) or a
-    one-sided coefficient array c[j] for modes k = j+1, in which case
-    ``period`` must be given.
-    """
-    if isinstance(f, SawtoothProfile):
-        h = f.period
-        ks = np.arange(1, cutoff + 1)
-        coeffs = fourier_coefficients(f, ks)
-        if derivative:
-            coeffs = coeffs * (2j * np.pi * ks / h)
-    else:
-        if period is None:
-            raise InvariantError("period is required for coefficient-array input")
-        h = float(period)
-        coeffs = np.asarray(f, dtype=complex)
-        if derivative:
-            ks = np.arange(1, len(coeffs) + 1)
-            coeffs = coeffs * (2j * np.pi * ks / h)
-    # multiplier at k >= 1; negative modes follow by conjugate symmetry
-    return HilbertSignal(h, -2j * np.pi * coeffs)
 
 
 def hilbert_slope_exact(profile: SawtoothProfile, y) -> np.ndarray | float:
@@ -237,8 +169,6 @@ class IntervalPartition:
     period: float
     midpoints: np.ndarray
     descent_mid: np.ndarray
-    valleys: np.ndarray
-    peaks: np.ndarray
     ascent_gaps: np.ndarray
     descent_gaps: np.ndarray
 
@@ -281,7 +211,6 @@ def build_partition(u1: SawtoothProfile) -> IntervalPartition:
     corners = np.asarray(u1.corners)
     slopes = u1.slope_after_corners()
     valley_idx = np.flatnonzero(slopes > 0)
-    n = len(valley_idx)
     vs = corners[valley_idx]
     # partner peak: the next corner cyclically (slopes alternate)
     peak_pos = np.where(valley_idx + 1 < m, valley_idx + 1, 0)
@@ -294,30 +223,34 @@ def build_partition(u1: SawtoothProfile) -> IntervalPartition:
     half_up = half_up[order]
     vs = mids - half_up
     ps = mids + half_up
-    bnd = np.append(mids, mids[0] + h)
     next_valley = np.append(vs[1:], vs[0] + h)
     dms = (ps + next_valley) / 2.0
     asc = ps - vs
     desc = next_valley - ps
     if np.any(desc <= 0) or np.any(asc <= 0):
         raise InvariantError("partition construction produced a non-alternating profile")
-    part = IntervalPartition(h, mids, dms, vs, ps, asc, desc)
+    part = IntervalPartition(h, mids, dms, asc, desc)
     widths = part.widths
     if abs(float(np.sum(widths)) - h) > 1e-9 * h:
         raise InvariantError("partition widths do not tile the period")
     return part
 
 
-# -- exact window integrals ---------------------------------------------------
+def _partition_grid(
+    part: IntervalPartition, *profiles: SawtoothProfile
+) -> tuple[np.ndarray, np.ndarray]:
+    """One period's grid on which every given profile is piecewise linear.
 
-
-def _window_integral(profile: SawtoothProfile, lo: float, hi: float) -> float:
-    """Exact integral of the profile over [lo, hi] (any real endpoints)."""
-    total = 0.0
-    for cuts in _window_cuts(profile.nodes()[0], profile.period, (lo, hi)):
-        v = profile.evaluate(cuts)
-        total += float(np.sum(np.diff(cuts) * (v[:-1] + v[1:]) / 2.0))
-    return total
+    The grid ys merges the partition boundaries with the nodes of the
+    profiles folded into [b_0, b_0 + h]; starts[k] indexes the first
+    piece of interval k, so np.add.reduceat(pieces, starts) sums each
+    interval.
+    """
+    h = part.period
+    bnd = part.boundaries
+    nodes = np.concatenate([p.nodes()[0] for p in profiles])
+    ys = np.unique(np.concatenate((bnd, bnd[0] + np.mod(nodes - bnd[0], h))))
+    return ys, np.searchsorted(ys, bnd[:-1])
 
 
 # -- comparison profile -------------------------------------------------------
@@ -371,40 +304,38 @@ def build_comparison(u0: SawtoothProfile, part: IntervalPartition) -> Comparison
     one-step solve.  The solution always lands inside the interval for
     unit-slope traces (the extreme notch positions bound every
     admissible trace from below and above); anything else is reported
-    as an invariant violation.
+    as an invariant violation.  All K intervals are solved at once on
+    one partition grid of u0, which also gives the end values.
     """
     h = part.period
     if abs(u0.period - h) > 1e-12 * h:
         raise InvariantError("comparison trace and partition periods differ")
     bnd = part.boundaries
-    n = part.count
-    downs = np.empty(n)
-    ups = np.empty(n)
-    degenerate = np.zeros(n, dtype=bool)
-    for k in range(n):
-        a, b = float(bnd[k]), float(bnd[k + 1])
-        width = b - a
-        ua = float(u0.evaluate(a))
-        ub = float(u0.evaluate(b))
-        rise = ub - ua
-        if abs(rise) > width * (1 + 1e-9):
-            raise InvariantError(f"trace violates the unit slope bound on interval {k}")
-        g = (width - rise) / 2.0
-        if g <= 1e-12 * width:
-            downs[k] = ups[k] = (a + b) / 2.0
-            degenerate[k] = True
-            continue
-        target = _window_integral(u0, a, b)
-        # area of the notch profile with the notch flush left at a
-        left_area = g * ua - g * g / 2.0
-        run = width - g
-        left_area += run * (ua - g) + run * run / 2.0
-        t = a + (target - left_area) / (2.0 * g)
-        if t < a - 1e-9 * width or t + g > b + 1e-9 * width:
-            raise InvariantError(f"no admissible notch position on interval {k}")
-        t = min(max(t, a), b - g)
-        downs[k] = t
-        ups[k] = t + g
+    ys, starts = _partition_grid(part, u0)
+    v = u0.evaluate(ys)
+    ends = v[np.searchsorted(ys, bnd)]
+    a, b, ua = bnd[:-1], bnd[1:], ends[:-1]
+    width = b - a
+    rise = ends[1:] - ua
+    bad = np.abs(rise) > width * (1 + 1e-9)
+    if bad.any():
+        raise InvariantError(f"trace violates the unit slope bound on interval {np.argmax(bad)}")
+    g = (width - rise) / 2.0
+    degenerate = g <= 1e-12 * width
+    # exact interval integrals of u0, linear on each grid piece
+    target = np.add.reduceat(np.diff(ys) * (v[:-1] + v[1:]) / 2.0, starts)
+    # area of the notch profile with the notch flush left at a
+    run = width - g
+    left_area = (g * ua - g * g / 2.0) + (run * (ua - g) + run * run / 2.0)
+    shift = np.divide(target - left_area, 2.0 * g, out=np.zeros_like(g), where=~degenerate)
+    t = a + shift
+    bad = ~degenerate & ((t < a - 1e-9 * width) | (t + g > b + 1e-9 * width))
+    if bad.any():
+        raise InvariantError(f"no admissible notch position on interval {np.argmax(bad)}")
+    t = np.minimum(np.maximum(t, a), b - g)
+    mid = (a + b) / 2.0
+    downs = np.where(degenerate, mid, t)
+    ups = np.where(degenerate, mid, t + g)
     profile = _assemble_notch_profile(u0, part, downs, ups, degenerate)
     return ComparisonProfile(part, profile, downs, ups, degenerate)
 
@@ -416,40 +347,21 @@ def _assemble_notch_profile(
     ups: np.ndarray,
     degenerate: np.ndarray,
 ) -> SawtoothProfile:
-    """Stitch the per-interval corner pairs into one sawtooth profile."""
+    """Stitch the per-interval corner pairs into one sawtooth profile.
+
+    The corners stay unwrapped, in [b_0, b_0 + h], while zero-length
+    segments are dropped pairwise; the slope after the first corner
+    starts at -1 (a notch opens) and flips when the wrap pair goes.
+    """
     h = part.period
-    events: list[tuple[float, int]] = []  # (unwrapped position, slope after)
-    for k in range(part.count):
-        if degenerate[k]:
-            continue
-        events.append((downs[k], -1))
-        events.append((ups[k], +1))
-    if not events:
-        raise InvariantError("comparison profile degenerated everywhere")
-    # drop zero-length segments pairwise so slopes keep alternating
-    tol = 1e-12 * h
-    changed = True
-    while changed and len(events) >= 2:
-        changed = False
-        for j in range(len(events)):
-            nxt = (j + 1) % len(events)
-            gap = events[nxt][0] - events[j][0]
-            if nxt == 0:
-                gap += h
-            if gap < tol:
-                if nxt > j:
-                    del events[nxt], events[j]
-                else:
-                    del events[-1], events[0]
-                changed = True
-                break
+    events = np.column_stack((downs, ups))[~degenerate].ravel().tolist()
+    events, first_slope = _merge_degenerate(events, -1, h)
     if len(events) < 2:
         raise InvariantError("comparison profile degenerated everywhere")
-    pos = np.mod([e[0] for e in events], h)
-    slope_after = np.asarray([e[1] for e in events])
+    pos = np.mod(events, h)
+    slope_after = first_slope * (-1) ** np.arange(len(events))
     order = np.argsort(pos)
-    pos = pos[order]
-    slope_after = slope_after[order]
+    pos, slope_after = pos[order], slope_after[order]
     init = int(slope_after[-1]) if pos[0] > 0.0 else int(slope_after[0])
     raw = SawtoothProfile(h, 0.0, init, tuple(pos))
     anchor = float(part.boundaries[0])
@@ -629,22 +541,13 @@ def _classify(
     max_w = np.max([np.roll(widths, 1), widths, np.roll(widths, -1)], axis=0)
     asc, desc = part.ascent_gaps, part.descent_gaps
     min_gap = np.min([np.roll(desc, 1), asc, desc, np.roll(asc, -1), np.roll(desc, -1)], axis=0)
-    out: list[LocalTerms] = []
-    for k in range(part.count):
-        if max_w[k] > 6.0 / m:
-            itype = 4
-        elif f1[k] > eta / m**3:
-            itype = 3
-        elif min_gap[k] < kappa / m:
-            itype = 2
-        else:
-            itype = 1
-        lo, hi = part.interval(k)
-        out.append(
-            LocalTerms(k, lo, hi, float(widths[k]), float(f0[k]), float(f1[k]),
-                       float(f2[k]), itype, float(max_w[k]), float(min_gap[k]))
-        )
-    return out
+    # the first failed test decides: width, then strain, then gaps
+    itype = np.select([max_w > 6.0 / m, f1 > eta / m**3, min_gap < kappa / m], [4, 3, 2], 1)
+    return [
+        LocalTerms(k, *part.interval(k), float(widths[k]), float(f0[k]), float(f1[k]),
+                   float(f2[k]), int(itype[k]), float(max_w[k]), float(min_gap[k]))
+        for k in range(part.count)
+    ]
 
 
 def classification_sensitivity(
@@ -656,20 +559,23 @@ def classification_sensitivity(
     """Type counts at (eta, kappa) and at 2x / 0.5x of each threshold.
 
     The thresholds are conventions, not derived constants, so reports
-    carry how strongly the classification depends on them.
+    carry how strongly the classification depends on them.  All five
+    classifications share one comparison profile.
     """
-    out = {}
-    for label, e_val, k_val in (
+    thresholds = (
         ("base", eta, kappa),
         ("eta_half", eta / 2.0, kappa),
         ("eta_double", eta * 2.0, kappa),
         ("kappa_half", eta, kappa / 2.0),
         ("kappa_double", eta, kappa * 2.0),
-    ):
-        terms = classify_intervals(u, part, eta=e_val, kappa=k_val)
-        counts = [0, 0, 0, 0]
-        for t in terms:
-            counts[t.itype - 1] += 1
+    )
+    for _, e_val, k_val in thresholds:
+        _check_classify_inputs(u, e_val, k_val)
+    cmp = build_comparison(u.profiles[0], part)
+    out = {}
+    for label, e_val, k_val in thresholds:
+        types = [t.itype for t in _classify(u, part, cmp, e_val, k_val)]
+        counts = np.bincount(types, minlength=5)[1:].tolist()
         out[label] = {"eta": e_val, "kappa": k_val, "counts": counts}
     return out
 
@@ -686,18 +592,9 @@ def _slope_at(profile: SawtoothProfile, y: np.ndarray) -> np.ndarray:
 def _merged_grid(
     p: SawtoothProfile, q: SawtoothProfile, part: IntervalPartition
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One period's grid for a profile pair, and p - q on it.
-
-    The grid ys merges the partition boundaries with the nodes of both
-    profiles folded into [b_0, b_0 + h], so p - q is linear on each
-    piece; starts[k] indexes the first piece of interval k.
-    """
-    h = part.period
-    bnd = part.boundaries
-    nodes = np.concatenate((q.nodes()[0], p.nodes()[0]))
-    ys = np.unique(np.concatenate((bnd, bnd[0] + np.mod(nodes - bnd[0], h))))
-    d = p.evaluate(ys) - q.evaluate(ys)
-    return ys, d, np.searchsorted(ys, bnd[:-1])
+    """The partition grid of a profile pair, and p - q on it."""
+    ys, starts = _partition_grid(part, q, p)
+    return ys, p.evaluate(ys) - q.evaluate(ys), starts
 
 
 def _interval_l2_sq(
@@ -779,14 +676,11 @@ def _error_terms(
         step = (bnd[k + 1] - bnd[k]) / BMO_SAMPLES
         samples[k] = hilbert_slope_exact(wp, bnd[k] + offsets * step)
     bmos = bmo_seminorm(samples)
-    out: list[ErrorTerms] = []
-    for k, (width, dist, bmo, pairing) in enumerate(
-        zip(part.widths.tolist(), dists.tolist(), bmos.tolist(), pairings.tolist())
-    ):
-        err = math.sqrt(width) * dist
-        cbar = 2.0 * abs(pairing) / err if dist > MATCH_FLOOR else 0.0
-        out.append(ErrorTerms(k, err, bmo, pairing, cbar))
-    return out, dists
+    errs = np.sqrt(part.widths) * dists
+    matched = dists <= MATCH_FLOOR
+    cbars = np.divide(2.0 * np.abs(pairings), errs, out=np.zeros_like(errs), where=~matched)
+    rows = zip(errs.tolist(), bmos.tolist(), pairings.tolist(), cbars.tolist())
+    return [ErrorTerms(k, *row) for k, row in enumerate(rows)], dists
 
 
 # -- certificate ---------------------------------------------------------------
@@ -913,9 +807,9 @@ def certificate_check(
     distance between the two traces is measured and reported, never
     assumed.  Every per-interval L2 window (strain per x-cell, mismatch,
     the ratio's denominator) is one ``_interval_l2_sq`` call over a
-    merged grid of the profile pair, never a windowed ``l2_distance``;
-    the ratio's numerator is the mismatch of the error terms, priced
-    once.  eta and kappa must be positive and finite.
+    merged grid of the profile pair; the ratio's numerator is the
+    mismatch of the error terms, priced once.  eta and kappa must be
+    positive and finite.
     """
     norm, scale = normalize_configuration(u)
     u0 = norm.profiles[0]

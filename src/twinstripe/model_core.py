@@ -435,58 +435,20 @@ def fourier_coefficients(profile: SawtoothProfile, ks: np.ndarray) -> np.ndarray
     return -(phase @ ds) / (h * w**2)
 
 
-def _window_pieces(period: float, window: tuple[float, float] | None) -> list[tuple[float, float]]:
-    """Reduce an integration window to subintervals of [0, period].
-
-    The window may wrap: (a, b) with a < b <= a + period, arbitrary reals.
-    """
-    if window is None:
-        return [(0.0, period)]
-    a, b = float(window[0]), float(window[1])
-    if not (b > a):
-        raise InvariantError("window must have positive width")
-    if b - a > period * (1 + 1e-12):
-        raise InvariantError("window may not exceed one period")
-    a0 = math.fmod(a, period)
-    if a0 < 0:
-        a0 += period
-    width = b - a
-    if a0 + width <= period:
-        return [(a0, a0 + width)]
-    return [(a0, period), (0.0, a0 + width - period)]
-
-
-def _window_cuts(ys: np.ndarray, period: float, window: tuple[float, float] | None):
-    """Per window piece, the sorted breakpoints ys (spanning [0, period])
-    inside it plus its two ends; the full period (None) is ys itself."""
-    if window is None:
-        yield ys
-        return
-    for lo, hi in _window_pieces(period, window):
-        cuts = np.unique(np.concatenate((ys, [lo, hi])))
-        yield cuts[(cuts >= lo) & (cuts <= hi)]
-
-
-def l2_distance(
-    p: SawtoothProfile,
-    q: SawtoothProfile,
-    window: tuple[float, float] | None = None,
-) -> float:
-    """L2 norm of p - q over the window (default one full period), exact.
+def l2_distance(p: SawtoothProfile, q: SawtoothProfile) -> float:
+    """L2 norm of p - q over one period, exact.
 
     p - q is piecewise linear with breakpoints at the union of the two
     cached node sets, so each cell integrates in closed form; each
-    profile is evaluated once per window piece, at all cuts together.
+    profile is evaluated once, at all cuts together.
     """
     if abs(p.period - q.period) > 1e-12 * p.period:
         raise InvariantError("l2_distance requires equal periods")
-    ys = np.union1d(p.nodes()[0], q.nodes()[0])
-    total = 0.0
-    for cuts in _window_cuts(ys, p.period, window):
-        dv = p.evaluate(cuts) - q.evaluate(cuts)
-        va, vb = dv[:-1], dv[1:]
-        # exact integral of a linear function squared on each cell
-        total += float(np.sum(np.diff(cuts) * (va * va + va * vb + vb * vb) / 3.0))
+    cuts = np.union1d(p.nodes()[0], q.nodes()[0])
+    dv = p.evaluate(cuts) - q.evaluate(cuts)
+    va, vb = dv[:-1], dv[1:]
+    # exact integral of a linear function squared on each cell
+    total = float(np.sum(np.diff(cuts) * (va * va + va * vb + vb * vb) / 3.0))
     return math.sqrt(max(total, 0.0))
 
 

@@ -6,18 +6,27 @@ force enumeration.  Tests compare the library against these.
 """
 
 import math
+from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
 
 from twinstripe import chessboard as cb
+from twinstripe import energy
 from twinstripe.chessboard import (
     check_chessboard_bound,
     check_master_inequality,
     check_rp_inequality,
     random_segment,
 )
-from twinstripe.model_core import _window_pieces, l2_distance, random_profile
+from twinstripe.energy import DEFAULT_CUTOFF
+from twinstripe.model_core import (
+    InvariantError,
+    NonConvergenceError,
+    SawtoothProfile,
+    fourier_coefficients,
+    random_profile,
+)
 
 
 def quad_fourier_coefficient(profile, k: int, nodes: int = 10**6) -> complex:
@@ -246,6 +255,39 @@ def nodes_reference(p):
     return ys, vs
 
 
+def _window_pieces(period: float, window: tuple[float, float] | None) -> list[tuple[float, float]]:
+    """Reduce an integration window to subintervals of [0, period].
+
+    The window may wrap: (a, b) with a < b <= a + period, arbitrary reals.
+    """
+    if window is None:
+        return [(0.0, period)]
+    a, b = float(window[0]), float(window[1])
+    if not (b > a):
+        raise InvariantError("window must have positive width")
+    if b - a > period * (1 + 1e-12):
+        raise InvariantError("window may not exceed one period")
+    a0 = math.fmod(a, period)
+    if a0 < 0:
+        a0 += period
+    width = b - a
+    if a0 + width <= period:
+        return [(a0, a0 + width)]
+    return [(a0, period), (0.0, a0 + width - period)]
+
+
+def window_integral_reference(p, lo: float, hi: float) -> float:
+    """Exact integral of the profile over [lo, hi] (any real endpoints),
+    by the trapezoid rule between its nodes in each window piece."""
+    total = 0.0
+    for a, b in _window_pieces(p.period, (lo, hi)):
+        cuts = np.unique(np.concatenate((nodes_reference(p)[0], [a, b])))
+        cuts = cuts[(cuts >= a) & (cuts <= b)]
+        v = evaluate_reference(p, cuts)
+        total += float(np.sum(np.diff(cuts) * (v[:-1] + v[1:]) / 2.0))
+    return total
+
+
 def l2_distance_reference(p, q, window=None):
     yp, _ = nodes_reference(p)
     yq, _ = nodes_reference(q)
@@ -266,9 +308,9 @@ def l2_distance_reference(p, q, window=None):
 
 def interval_l2_sq_reference(p, q, part) -> np.ndarray:
     """Integral of (p - q)^2 over each partition interval, one windowed
-    l2_distance call per interval."""
+    reference distance per interval."""
     return np.asarray(
-        [l2_distance(p, q, window=part.interval(k)) ** 2 for k in range(part.count)]
+        [l2_distance_reference(p, q, window=part.interval(k)) ** 2 for k in range(part.count)]
     )
 
 
@@ -375,3 +417,197 @@ def verify_suite_reference(trials: int, seed: int = 0, alphas=(0.1, 1.0, 10.0)) 
         "chessboard": stats(cb),
         "master": stats(master),
     }
+
+
+# -- spectral and real-space cross-checks of the boundary term ---------------------
+# Truncated mode sums, the image-summed real-space kernel and the harmonic
+# extension, each an independent route to what the package computes in
+# closed form.  Mode sums take points a block at a time, with the block
+# size read from twinstripe.energy at each call.
+
+KERNEL_IMAGES = 64
+KERNEL_RTOL = 1e-6
+
+
+def periodized_kernel(
+    t: np.ndarray,
+    period: float,
+    images: int = KERNEL_IMAGES,
+    rtol: float = KERNEL_RTOL,
+) -> np.ndarray:
+    """sum_n 1/(t + n h)^2 for t in (0, h), via image sum plus analytic tail.
+
+    The tail over |n| > images is replaced by the midpoint integral
+    int_{images+1/2}^inf dn, whose Euler-Maclaurin remainder is bounded
+    explicitly; if that bound exceeds rtol relative to the kernel the
+    routine refuses rather than return an unconverged value.
+    """
+    t = np.asarray(t, dtype=float)
+    if np.any((t <= 0) | (t >= period)):
+        raise InvariantError("kernel argument must lie strictly inside (0, period)")
+    h = period
+    ns = np.arange(-images, images + 1)
+    body = np.sum(1.0 / (t[..., None] + ns * h) ** 2, axis=-1)
+    edge = (images + 0.5) * h
+    tail = (1.0 / (edge + t) + 1.0 / (edge - t)) / h
+    # |d/dn (nh +- t)^-2| / 24 at the integral's lower end, both branches
+    tail_bound = (h / 12.0) * (1.0 / (edge + t) ** 3 + 1.0 / (edge - t) ** 3)
+    value = body + tail
+    if np.any(tail_bound > rtol * value):
+        raise NonConvergenceError(
+            "periodized kernel tail bound exceeds tolerance; raise the image count"
+        )
+    return value
+
+
+def h_half_sq_realspace(
+    profile: SawtoothProfile,
+    quad_nodes: int = 4096,
+    images: int = KERNEL_IMAGES,
+) -> float:
+    """Half-norm squared from the folded double integral.
+
+    Midpoint sampling on an N x N periodic grid reduces, through the
+    circular autocorrelation of the samples, to a single sum over grid
+    offsets d of K(d h / N) * sum_i (u_i - u_{i-d})^2.  On the diagonal
+    the integrand tends to the squared slope, which is 1 a.e.
+    """
+    if quad_nodes < 64:
+        raise InvariantError("quad_nodes must be at least 64")
+    h = profile.period
+    n = int(quad_nodes)
+    y = (np.arange(n) + 0.5) * (h / n)
+    u = np.asarray(profile.evaluate(y))
+    fu = np.fft.rfft(u)
+    autocorr = np.fft.irfft(fu * np.conj(fu), n)  # C(d) = sum_i u_i u_{i-d}
+    sum_sq = float(np.dot(u, u))
+    d = np.arange(1, n)
+    kvals = periodized_kernel(d * (h / n), h, images=images)
+    off_diag = float(np.dot(kvals, 2.0 * sum_sq - 2.0 * autocorr[1:]))
+    diag = float(n)  # integrand -> slope^2 = 1 on the diagonal
+    return (h / n) ** 2 * (off_diag + diag)
+
+
+def _mode_sum(
+    coeffs: np.ndarray, period: float, y: np.ndarray, x: np.ndarray | None = None
+) -> np.ndarray:
+    """2 Re sum_k coeffs[k-1] exp(2 pi k (i y + x) / h), a block of points at a time."""
+    ks = np.arange(1, len(coeffs) + 1)
+    out = np.empty(y.shape)
+    step = max(1, energy._BLOCK_ENTRIES // len(ks))
+    for lo in range(0, len(y), step):
+        block = slice(lo, lo + step)
+        waves = np.exp(2j * np.pi * ks * y[block, None] / period)
+        if x is not None:
+            waves *= np.exp(2 * np.pi * ks * x[block, None] / period)
+        out[block] = 2.0 * np.real(waves @ coeffs)
+    return out
+
+
+@dataclass(frozen=True)
+class AusteniteField:
+    """Harmonic extension of a boundary trace into the half-plane x <= 0.
+
+    psi(x, y) = sum_k uhat(k) exp(2 pi i k y / h) exp(2 pi |k| x / h),
+    the decay rate matching each oscillation so psi is harmonic and
+    tends to the trace mean as x -> -inf.
+    """
+
+    boundary: SawtoothProfile
+    mode_cutoff: int = DEFAULT_CUTOFF
+
+    def __post_init__(self) -> None:
+        if self.mode_cutoff < 1:
+            raise InvariantError("mode_cutoff must be at least 1")
+
+    def evaluate(self, x, y) -> np.ndarray | float:
+        """psi at (x, y) for x <= 0 (vectorized over broadcastable inputs)."""
+        xx = np.asarray(x, dtype=float)
+        yy = np.asarray(y, dtype=float)
+        if np.any(xx > 0):
+            raise InvariantError("the extension lives in x <= 0")
+        h = self.boundary.period
+        ks = np.arange(1, self.mode_cutoff + 1)
+        coeffs = fourier_coefficients(self.boundary, ks)
+        xb, yb = np.broadcast_arrays(xx, yy)
+        waves = _mode_sum(coeffs, h, yb.reshape(-1), xb.reshape(-1))
+        out = (self.boundary.mean() + waves).reshape(xb.shape)
+        return float(out) if out.ndim == 0 else out
+
+
+def austenite_energy(field: AusteniteField, beta: float = 1.0) -> float:
+    """2 pi beta times the Dirichlet energy of the extension.
+
+    Assembled mode by mode from the gradient of psi:
+    each mode contributes (w_y^2 + w_x^2) |c_k|^2 h / (4 pi k / h)
+    with w_y = w_x = 2 pi k / h, summed over +-k.
+    """
+    h = field.boundary.period
+    ks = np.arange(1, field.mode_cutoff + 1)
+    coeffs = fourier_coefficients(field.boundary, ks)
+    w = 2.0 * np.pi * ks / h
+    mode_dirichlet = (w**2 + w**2) * np.abs(coeffs) ** 2 * h / (4.0 * np.pi * ks / h)
+    return float(2.0 * np.pi * beta * 2.0 * np.sum(mode_dirichlet))
+
+
+@dataclass(frozen=True)
+class HilbertSignal:
+    """Real periodic function stored by one-sided spectrum.
+
+    coeffs[j] is the coefficient of exp(2 pi i (j+1) y / period); the
+    function is f(y) = 2 Re sum_j coeffs[j] exp(2 pi i (j+1) y / period),
+    mean zero by construction.
+    """
+
+    period: float
+    coeffs: np.ndarray
+
+    def __post_init__(self) -> None:
+        if not (self.period > 0 and math.isfinite(self.period)):
+            raise InvariantError("HilbertSignal.period must be positive")
+        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=complex))
+
+    def evaluate(self, y) -> np.ndarray | float:
+        yy = np.asarray(y, dtype=float)
+        out = _mode_sum(self.coeffs, self.period, yy.reshape(-1))
+        return float(out[0]) if yy.ndim == 0 else out.reshape(yy.shape)
+
+    def sample(self, n: int) -> np.ndarray:
+        """Values at y_j = j * period / n via the inverse FFT."""
+        if n < 2 * (len(self.coeffs) + 1):
+            raise InvariantError("sample count too small for the stored spectrum")
+        spectrum = np.zeros(n // 2 + 1, dtype=complex)
+        spectrum[1 : len(self.coeffs) + 1] = self.coeffs
+        return np.fft.irfft(spectrum, n) * n
+
+
+def hilbert_transform(
+    f,
+    cutoff: int = DEFAULT_CUTOFF,
+    derivative: bool = False,
+    period: float | None = None,
+) -> HilbertSignal:
+    """Periodic Hilbert transform, one mode at a time.
+
+    The multiplier is 2 pi (-i k / |k|); the k = 0 mode is dropped, so
+    constants map to zero.  Accepts a sawtooth profile (optionally
+    transforming its slope w' instead, via ``derivative=True``) or a
+    one-sided coefficient array c[j] for modes k = j+1, in which case
+    ``period`` must be given.
+    """
+    if isinstance(f, SawtoothProfile):
+        h = f.period
+        ks = np.arange(1, cutoff + 1)
+        coeffs = fourier_coefficients(f, ks)
+        if derivative:
+            coeffs = coeffs * (2j * np.pi * ks / h)
+    else:
+        if period is None:
+            raise InvariantError("period is required for coefficient-array input")
+        h = float(period)
+        coeffs = np.asarray(f, dtype=complex)
+        if derivative:
+            ks = np.arange(1, len(coeffs) + 1)
+            coeffs = coeffs * (2j * np.pi * ks / h)
+    # multiplier at k >= 1; negative modes follow by conjugate symmetry
+    return HilbertSignal(h, -2j * np.pi * coeffs)

@@ -18,13 +18,10 @@ from twinstripe.model_core import (
     random_profile,
 )
 from twinstripe.energy import (
-    AusteniteField,
-    austenite_energy,
     fourier_coefficients,
     h_half_inner,
     h_half_sq,
     h_half_sq_fourier,
-    h_half_sq_realspace,
     strain_energy,
     surface_energy,
     total_energy,
@@ -40,7 +37,13 @@ from twinstripe.chessboard import check_master_inequality, verify_suite
 from twinstripe import localization as loc
 from twinstripe import optimize as op
 
-from oracles import kernel_identity_check
+from oracles import (
+    AusteniteField,
+    austenite_energy,
+    h_half_sq_realspace,
+    kernel_identity_check,
+    window_integral_reference,
+)
 
 ZETA3 = 1.2020569031595942854
 UNIT = ModelParams(1.0, 1e-3, 1.0, 1.0)
@@ -225,8 +228,8 @@ def test_09_localization_recomposition_and_matching():
             worst = max(
                 worst,
                 abs(
-                    loc._window_integral(cmp.profile, lo, hi)
-                    - loc._window_integral(u0, lo, hi)
+                    window_integral_reference(cmp.profile, lo, hi)
+                    - window_integral_reference(u0, lo, hi)
                 ),
             )
             inside = [

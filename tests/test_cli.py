@@ -323,19 +323,13 @@ def test_option_surface_is_pinned():
 
 # Defaulted parameters of every public function, and the option fields.
 LIBRARY_TUNABLES = {
-    "model_core.l2_distance": {"window"},
     "model_core.random_profile": {"period", "n_teeth", "max_teeth", "min_gap_frac"},
     "energy.h_half_sq_fourier": {"cutoff"},
-    "energy.h_half_sq_realspace": {"quad_nodes", "images"},
-    "energy.periodized_kernel": {"images", "rtol"},
-    "energy.austenite_energy": {"beta"},
-    "energy.l2_norm_sq": {"window"},
     "one_dim.make_w_m": {"y0", "a0"},
     "one_dim.cs_asymptotic_check": {"regime_factor"},
     "chessboard.check_master_inequality": {"alphas", "integrate"},
     "chessboard.random_segment": {"max_pieces"},
     "chessboard.verify_suite": {"trials", "seed", "alphas"},
-    "localization.hilbert_transform": {"cutoff", "derivative", "period"},
     "localization.bmo_seminorm": {"min_width_frac"},
     "localization.classify_intervals": {"eta", "kappa"},
     "localization.classification_sensitivity": {"eta", "kappa"},
@@ -372,7 +366,7 @@ def test_library_tunable_surface_is_pinned():
     # the tunable count tracked in ROADMAP.md: CLI flags per subcommand
     # plus the library surface above
     flags = sum(len(opts) for opts in OPTIONS.values())
-    assert flags + sum(len(names) for names in LIBRARY_TUNABLES.values()) == 81
+    assert flags + sum(len(names) for names in LIBRARY_TUNABLES.values()) == 71
 
 
 def test_cutoff_flag_is_gone(tmp_path, capsys):

@@ -17,14 +17,10 @@ from twinstripe.model_core import (
     random_profile,
 )
 from twinstripe.energy import (
-    AusteniteField,
-    austenite_energy,
     h_half_inner,
     h_half_sq,
     h_half_sq_fourier,
-    h_half_sq_realspace,
     l2_norm_sq,
-    periodized_kernel,
     strain_energy,
     surface_energy,
     total_energy,
@@ -34,8 +30,12 @@ import mpmath as mp
 
 from oracles import (
     C0_EXACT,
+    AusteniteField,
+    austenite_energy,
     h_half_inner_closed_form,
     h_half_sq_closed_form,
+    h_half_sq_realspace,
+    periodized_kernel,
     quad_mean_square,
 )
 

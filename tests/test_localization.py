@@ -30,7 +30,13 @@ from twinstripe.one_dim import C0, make_w_m, optimal_even_m
 from twinstripe import localization as loc
 from twinstripe.optimize import striped_candidate
 
-from oracles import interval_l2_sq_reference, interval_pairing_mp, star_excess_reference
+from oracles import (
+    hilbert_transform,
+    interval_l2_sq_reference,
+    interval_pairing_mp,
+    star_excess_reference,
+    window_integral_reference,
+)
 
 
 UNIT = ModelParams(1.0, 1.0, 1.0, 1.0)
@@ -55,11 +61,11 @@ def two_station_config(u0, u1, beta=1.0, epsilon=1.0):
 
 
 def test_hilbert_kills_constants_and_rotates_sine():
-    flat = loc.hilbert_transform(np.array([0.0 + 0.0j]), period=1.0)
+    flat = hilbert_transform(np.array([0.0 + 0.0j]), period=1.0)
     ys = np.linspace(0.0, 1.0, 17)
     assert np.allclose(flat.evaluate(ys), 0.0)
     # sin(2 pi y) has one-sided coefficient -i/2 and maps to -2 pi cos(2 pi y)
-    sine = loc.hilbert_transform(np.array([-0.5j]), period=1.0)
+    sine = hilbert_transform(np.array([-0.5j]), period=1.0)
     assert np.allclose(sine.evaluate(ys), -2.0 * math.pi * np.cos(2.0 * math.pi * ys),
                        atol=1e-12)
 
@@ -67,8 +73,8 @@ def test_hilbert_kills_constants_and_rotates_sine():
 def test_hilbert_squares_to_minus_identity():
     rng = np.random.default_rng(21)
     prof = random_profile(rng, 1.0, 4)
-    once = loc.hilbert_transform(prof, cutoff=512)
-    twice = loc.hilbert_transform(once.coeffs, period=1.0)
+    once = hilbert_transform(prof, cutoff=512)
+    twice = hilbert_transform(once.coeffs, period=1.0)
     from twinstripe.model_core import fourier_coefficients
 
     ks = np.arange(1, 513)
@@ -78,7 +84,7 @@ def test_hilbert_squares_to_minus_identity():
 
 def test_hilbert_signal_sampling_matches_pointwise():
     rng = np.random.default_rng(22)
-    sig = loc.hilbert_transform(random_profile(rng, 1.0, 3), cutoff=256)
+    sig = hilbert_transform(random_profile(rng, 1.0, 3), cutoff=256)
     n = 1024
     ys = np.arange(n) / n
     assert np.allclose(sig.sample(n), sig.evaluate(ys), atol=1e-12)
@@ -87,7 +93,7 @@ def test_hilbert_signal_sampling_matches_pointwise():
 
 
 def test_hilbert_signal_blocks_match_single_block(monkeypatch):
-    sig = loc.hilbert_transform(random_profile(np.random.default_rng(23), 1.0, 3))
+    sig = hilbert_transform(random_profile(np.random.default_rng(23), 1.0, 3))
     step = energy._BLOCK_ENTRIES // len(sig.coeffs)
     rng = np.random.default_rng(24)
     cases = [rng.uniform(0.0, 1.0, n) for n in (1, step - 1, step, step + 1, 2 * step + 1)]
@@ -99,7 +105,7 @@ def test_hilbert_signal_blocks_match_single_block(monkeypatch):
 
 def test_hilbert_signal_memory_bounded_in_point_count():
     # unblocked, 4096 points x 1024 modes would hold 64 MB per complex array
-    sig = loc.hilbert_transform(random_profile(np.random.default_rng(25), 1.0, 3), cutoff=1024)
+    sig = hilbert_transform(random_profile(np.random.default_rng(25), 1.0, 3), cutoff=1024)
     ys = np.linspace(0.0, 1.0, 4096)
     tracemalloc.start()
     try:
@@ -121,7 +127,7 @@ def test_slope_transform_closed_form_tracks_spectral_series():
     exact = loc.hilbert_slope_exact(prof, ys)
     errs = []
     for cutoff in (4096, 65536):
-        series = loc.hilbert_transform(prof, cutoff=cutoff, derivative=True)
+        series = hilbert_transform(prof, cutoff=cutoff, derivative=True)
         errs.append(np.max(np.abs(series.evaluate(ys) - exact)))
     assert errs[1] < errs[0] / 8.0
     assert errs[1] < 1e-3
@@ -360,8 +366,8 @@ def test_comparison_matching_conditions():
             lo, hi = part.interval(k)
             assert w.evaluate(lo) == pytest.approx(float(u0.evaluate(lo)), abs=1e-10)
             assert w.evaluate(hi) == pytest.approx(float(u0.evaluate(hi)), abs=1e-10)
-            assert loc._window_integral(w, lo, hi) == pytest.approx(
-                loc._window_integral(u0, lo, hi), abs=1e-10
+            assert window_integral_reference(w, lo, hi) == pytest.approx(
+                window_integral_reference(u0, lo, hi), abs=1e-10
             )
             if not cmp.degenerate[k]:
                 down, up = cmp.down_corners[k], cmp.up_corners[k]
@@ -380,6 +386,36 @@ def test_comparison_handles_matched_interval_without_notch():
     assert not bool(cmp.degenerate[1])
     assert cmp.down_corners[0] == pytest.approx(cmp.up_corners[0])
     assert l2_distance(u0, cmp.profile) < 1e-12
+
+
+def test_notch_profile_assembly_merges_zero_length_segments():
+    # boundaries 0.125, 0.625 and 1.125; each notch falls by a quarter
+    u1 = make_w_m(4, UNIT)
+    part = loc.build_partition(u1)
+    none = np.zeros(2, dtype=bool)
+    for gap in (0.0, 0.4e-12):
+        # a zero-length connector: notch 0 ends where notch 1 starts, so
+        # the trace falls straight through the interior boundary
+        downs = np.array([0.375, 0.625 + gap])
+        ups = np.array([0.625, 0.875 + gap])
+        w = loc._assemble_notch_profile(u1, part, downs, ups, none)
+        assert w.corners == pytest.approx((0.375, 0.875 + gap), abs=1e-15)
+        assert len(w.corners) == 2 and w.initial_slope == 1
+        assert w.evaluate(0.125) == u1.evaluate(0.125)
+        # a wrap pair: notch 1 ends at b_0 + h, where notch 0 starts
+        downs = np.array([0.125 + gap, 0.875])
+        ups = np.array([0.375 + gap, 1.125])
+        w = loc._assemble_notch_profile(u1, part, downs, ups, none)
+        assert w.corners == pytest.approx((0.375 + gap, 0.875), abs=1e-15)
+        assert len(w.corners) == 2 and w.initial_slope == -1
+        assert w.evaluate(0.125) == u1.evaluate(0.125)
+    # gaps at the tolerance are kept
+    downs = np.array([0.375, 0.625 + 2e-12])
+    ups = np.array([0.625, 0.875 + 2e-12])
+    w = loc._assemble_notch_profile(u1, part, downs, ups, none)
+    assert len(w.corners) == 4
+    with pytest.raises(InvariantError):
+        loc._assemble_notch_profile(u1, part, downs, ups, np.ones(2, dtype=bool))
 
 
 # -- local shares recompose the global energy ----------------------------------
@@ -421,9 +457,7 @@ def test_local_strain_share_controls_trace_mismatch():
         config = two_station_config(u0, u1)
         part = loc.build_partition(u1)
         terms = loc.classify_intervals(config, part)
-        mism = np.array(
-            [l2_distance(u0, u1, window=part.interval(k)) ** 2 for k in range(part.count)]
-        )
+        mism = interval_l2_sq_reference(u0, u1, part)
         window_mism = mism + np.roll(mism, 1) + np.roll(mism, -1)
         for t in terms:
             assert t.f1 >= window_mism[t.index] / 3.0 - 1e-12
@@ -501,6 +535,35 @@ def test_classification_sensitivity_marks_threshold_dependence():
     assert report["eta_half"]["counts"][2] >= base[2]
     # shrinking kappa can only demote type 2 counts
     assert report["kappa_half"]["counts"][1] <= base[1]
+
+
+def test_classification_sensitivity_builds_one_comparison_profile(monkeypatch):
+    built = []
+    build = loc.build_comparison
+
+    def counting_build(u0, part):
+        built.append(1)
+        return build(u0, part)
+
+    u1 = make_w_m(10, UNIT)
+    config = two_station_config(u1.translated(0.004), u1)
+    part = loc.build_partition(u1)
+    expected = {
+        label: [sum(t.itype == i for t in loc.classify_intervals(config, part, e, k))
+                for i in (1, 2, 3, 4)]
+        for label, e, k in (("base", 1e-3, 0.1), ("eta_half", 5e-4, 0.1),
+                            ("kappa_double", 1e-3, 0.2))
+    }
+    monkeypatch.setattr(loc, "build_comparison", counting_build)
+    report = loc.classification_sensitivity(config, part)
+    assert len(built) == 1
+    for label, counts in expected.items():
+        assert report[label]["counts"] == counts
+    # every threshold pair is checked before anything is built
+    built.clear()
+    with pytest.raises(InvariantError):
+        loc.classification_sensitivity(config, part, eta=1e308)
+    assert built == []
 
 
 # -- error terms ---------------------------------------------------------------
@@ -656,12 +719,12 @@ def test_certificate_prices_the_comparison_mismatch_once(monkeypatch):
 
 
 def test_certificate_makes_no_windowed_l2_calls(monkeypatch):
-    windows = []
+    calls = []
     original = l2_distance
 
-    def counting_l2(p, q, window=None):
-        windows.append(window)
-        return original(p, q, window=window)
+    def counting_l2(p, q):
+        calls.append(1)
+        return original(p, q)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("twinstripe") and getattr(module, "l2_distance", None) is original:
@@ -673,7 +736,7 @@ def test_certificate_makes_no_windowed_l2_calls(monkeypatch):
     report = loc.certificate_check(config)
     assert math.isfinite(report.excess)
     # only strain_energy's full-period cells remain
-    assert windows == [None] * (len(profs) - 1)
+    assert len(calls) == len(profs) - 1
 
 
 def test_star_window_counts_match_per_piece_loop():

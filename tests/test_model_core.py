@@ -19,6 +19,8 @@ from twinstripe.model_core import (
     random_profile,
 )
 
+from twinstripe.localization import IntervalPartition, _interval_l2_sq
+
 from oracles import (
     evaluate_reference,
     l2_distance_reference,
@@ -143,6 +145,23 @@ def test_evaluate_and_nodes_equal_pre_cache_kernel_exactly():
         assert np.array_equal(ny, ys) and np.array_equal(nv, vs)
 
 
+def partition_at(period, *cuts):
+    """Partition of one period at increasing cuts, cuts[0] in [0, period);
+    the last interval closes at cuts[0] + period."""
+    mids = np.asarray(cuts, dtype=float)
+    zero = np.zeros_like(mids)
+    return IntervalPartition(period, mids, zero, zero, zero)
+
+
+def window_l2_sq(p, q, lo, hi):
+    """Integral of (p - q)^2 over the window [lo, hi], from the partition
+    whose first interval is the window (folded into [0, period))."""
+    h = p.period
+    a = lo % h
+    part = partition_at(h, a) if hi - lo >= h else partition_at(h, a, a + (hi - lo))
+    return float(_interval_l2_sq(p, q, part)[0])
+
+
 def test_l2_distance_equals_pre_cache_kernel_exactly():
     rng = np.random.default_rng(8)
     profs = kernel_profiles(n=30, seed=77)
@@ -159,8 +178,10 @@ def test_l2_distance_equals_pre_cache_kernel_exactly():
             (a, a + rng.random() * h),
             (float(p.corners[0]), float(q.corners[-1]) + 1e-3 * h),
         ]
+        # windowed integrals come from the partition grid, to rounding
         for w in windows:
-            assert l2_distance(p, q, window=w) == l2_distance_reference(p, q, window=w), w
+            ref = l2_distance_reference(p, q, window=w) ** 2
+            assert abs(window_l2_sq(p, q, *w) - ref) <= 1e-13 * ref + 1e-15 * h, w
 
 
 def test_cached_geometry_is_read_only_and_per_profile():
@@ -241,22 +262,24 @@ def test_l2_distance_windows_and_additivity():
         q = random_profile(rng)
         a = rng.random() * 0.5
         b = a + 0.2 + rng.random() * 0.5
-        full = l2_distance(p, q, window=(a, b)) ** 2
         mid = (a + b) / 2
-        split = l2_distance(p, q, window=(a, mid)) ** 2 + l2_distance(p, q, window=(mid, b)) ** 2
-        assert full == pytest.approx(split, rel=1e-12)
-        assert l2_distance(p, q, window=(a, b)) == pytest.approx(
+        full = window_l2_sq(p, q, a, b)
+        halves = _interval_l2_sq(p, q, partition_at(1.0, a, mid, b))
+        assert full == pytest.approx(halves[0] + halves[1], rel=1e-12)
+        assert full == pytest.approx(l2_distance_reference(p, q, window=(a, b)) ** 2, rel=1e-12)
+        assert math.sqrt(full) == pytest.approx(
             quad_l2_distance(p, q, window=(a, b)), abs=1e-6
         )
+        # the intervals of a partition add up to the full-period distance
+        assert halves.sum() == pytest.approx(l2_distance(p, q) ** 2, rel=1e-12)
 
 
 def test_l2_distance_wrapped_window():
     # window crossing the period seam equals the two straight pieces
-    val = l2_distance(W2, W4, window=(0.9, 1.3))
-    direct = math.sqrt(
-        l2_distance(W2, W4, window=(0.9, 1.0)) ** 2 + l2_distance(W2, W4, window=(0.0, 0.3)) ** 2
-    )
-    assert val == pytest.approx(direct, rel=1e-12)
+    val = window_l2_sq(W2, W4, 0.9, 1.3)
+    straight = _interval_l2_sq(W2, W4, partition_at(1.0, 0.0, 0.3, 0.9))
+    assert val == pytest.approx(straight[2] + straight[0], rel=1e-12)
+    assert val == pytest.approx(l2_distance_reference(W2, W4, window=(0.9, 1.3)) ** 2, rel=1e-12)
 
 
 def test_l2_distance_period_mismatch():
