@@ -131,24 +131,29 @@ def h_half_inner(f: SawtoothProfile, g: SawtoothProfile) -> float:
     )
 
 
-def pair_sum(cf: np.ndarray, sf: np.ndarray, cg: np.ndarray, sg: np.ndarray, h: float) -> float:
+def pair_sum(
+    cf: np.ndarray, sf: np.ndarray, cg: np.ndarray, sg: np.ndarray, h: float
+) -> float | np.ndarray:
     """2 h^2 / pi^2 sum_{j,l} sf_j sg_l (Cl_3 - zeta(3))(2 pi (cf_j - cg_l) / h).
 
     The pair sum of h_half_inner on bare corner and slope arrays.  It
     equals the bilinear form whenever the weights of either side sum to
     zero, so a difference of rows can be summed without a profile.  The
     rows of f are taken a block at a time, so memory stays bounded.
+
+    Rows cf of shape (P, R) give the P sums of P probe row sets: Cl_3 runs
+    once over their P stacked blocks, and each sum is bit for bit its own call.
     """
-    if len(cf) == 0 or len(cg) == 0:
-        return 0.0
-    step = max(1, _BLOCK_ENTRIES // len(cg))
-    pairs = 0.0
-    for lo in range(0, len(cf), step):
+    probes = np.atleast_2d(cf)
+    pairs = np.zeros(len(probes))
+    step = max(1, _BLOCK_ENTRIES // max(1, len(cg)))
+    for lo in range(0, probes.shape[1], step):
         block = slice(lo, lo + step)
-        frac = np.mod(np.subtract.outer(cf[block], cg) / h, 1.0)
+        frac = np.mod(np.subtract.outer(probes[:, block], cg) / h, 1.0)
         theta = 2.0 * np.pi * np.minimum(frac, 1.0 - frac)
-        pairs += sf[block] @ _clausen3_less_zeta3(theta) @ sg
-    return float(2.0 * h * h / np.pi**2 * pairs)
+        pairs += [sf[block] @ cl3 @ sg for cl3 in _clausen3_less_zeta3(theta)]
+    sums = 2.0 * h * h / np.pi**2 * pairs
+    return float(sums[0]) if np.ndim(cf) == 1 else sums
 
 
 def h_half_sq(profile: SawtoothProfile) -> float:

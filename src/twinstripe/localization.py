@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -180,9 +181,12 @@ class IntervalPartition:
     def m_corners(self) -> int:
         return 2 * len(self.midpoints)
 
-    @property
+    @cached_property
     def boundaries(self) -> np.ndarray:
-        return np.append(self.midpoints, self.midpoints[0] + self.period)
+        """The K + 1 interval ends, closing boundary included; built once, read-only."""
+        bnd = np.append(self.midpoints, self.midpoints[0] + self.period)
+        bnd.flags.writeable = False
+        return bnd
 
     @property
     def widths(self) -> np.ndarray:

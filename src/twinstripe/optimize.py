@@ -283,9 +283,11 @@ class _RelaxState:
     ||e_c||^2 / dx_c comes from the same full-cell integral as
     ``l2_distance``, bit for bit.  A table is rebuilt only when one of its
     two stations takes a new profile (``apply``), once per cell however
-    many stations change.
+    many stations change; between two stations that hold one profile
+    object e_c is exactly 0, so its table is zeros and costs nothing.
 
-    Probes are priced from the tables without building a profile:
+    Probes are priced from the tables without building a profile, the
+    steps of a line search in one pass, each bit for bit its own price:
 
     * Shifting corners i, i+1 of a station by d adds a trapezoid on
       [c_i + min(d, 0), c_{i+1} + max(d, 0)], of height 2 a d (a the
@@ -302,7 +304,8 @@ class _RelaxState:
 
       A pair shift prices its one or two cells this way, a column shift
       all n - 1 cells in one array computation.  At station 0 the
-      boundary term changes by the pair sum over rows i and i+1 only.
+      boundary term changes by the pair sum over rows i and i+1 only,
+      with one Cl_3 evaluation for every step of the call.
     * Shifting the offset of station j by d changes ||e_c||^2 by
       +-2 d E(h) + d^2 h and leaves the boundary term alone.
 
@@ -323,7 +326,7 @@ class _RelaxState:
         # padded with y = inf past the cell's last node
         self.table = np.zeros((5, n - 1, 1))
         self.table[0] = np.inf
-        self.austenite = 0.0
+        self.austenite = self._austenite(self.profiles[0])
         self.single_surface = 0.0
         self.apply(dict(enumerate(self.profiles)))
 
@@ -346,6 +349,10 @@ class _RelaxState:
     def _table_cell(self, c: int) -> float:
         """Rebuild the moment table of cell c and return its strain."""
         p, q = self.profiles[c], self.profiles[c + 1]
+        if p is q:  # a shared profile: e = q - p is exactly +0.0, so is every moment
+            self._write_table(c, (p.nodes()[0],))
+            self.mass[c] = 0.0
+            return 0.0
         ys = np.union1d(p.nodes()[0], q.nodes()[0])
         e = q.evaluate(ys) - p.evaluate(ys)
         dy, ea, eb = np.diff(ys), e[:-1], e[1:]
@@ -353,30 +360,29 @@ class _RelaxState:
         g6 = np.concatenate(((eb - ea) / dy / 6.0, [0.0]))
         big_e = np.concatenate(([0.0], np.cumsum(dy * (ea + 3.0 * g6[:-1] * dy))))
         phi = np.cumsum(dy * (big_e[:-1] + dy * (0.5 * ea + dy * g6[:-1])))
-        k = len(ys)
+        self._write_table(c, (ys, np.concatenate(([0.0], phi)), big_e, 0.5 * e, g6))
+        self.mass[c] = float(big_e[-1])
+        d = math.sqrt(max(total, 0.0))
+        return d * d / float(self.dx[c])
+
+    def _write_table(self, c: int, rows: tuple[np.ndarray, ...]) -> None:
+        """Set the leading rows of cell c's table, growing it to fit; other rows are 0."""
+        k = len(rows[0])
         if k > self.table.shape[2]:
             grown = np.zeros(self.table.shape[:2] + (k,))
             grown[0] = np.inf
             grown[:, :, : self.table.shape[2]] = self.table
             self.table = grown
-        self.table[:, c, :k] = (ys, np.concatenate(([0.0], phi)), big_e, 0.5 * e, g6)
-        self.table[1:, c, k:] = 0.0
-        self.table[0, c, k:] = np.inf
-        self.mass[c] = float(big_e[-1])
-        d = math.sqrt(max(total, 0.0))
-        return d * d / float(self.dx[c])
+        self.table[:, c] = 0.0
+        self.table[0, c] = np.inf
+        self.table[: len(rows), c, :k] = rows
 
     @property
     def total(self) -> float:
         return self.austenite + sum(self.strain) + sum(self.surface) + self.single_surface
 
     def _cells_of(self, j: int) -> tuple[int, ...]:
-        cells = []
-        if j > 0:
-            cells.append(j - 1)
-        if j < len(self.profiles) - 1:
-            cells.append(j)
-        return tuple(cells)
+        return tuple(c for c in (j - 1, j) if 0 <= c < len(self.profiles) - 1)
 
     def delta_replace(self, j: int, prof: SawtoothProfile) -> float:
         """Energy change if station j took the given profile."""
@@ -406,26 +412,25 @@ class _RelaxState:
         return delta
 
     def shift_pricer(self, js: range, i: int):
-        """Function d -> energy change if stations js shifted corners i, i+1 by d.
+        """Function steps -> energy changes if stations js shifted corners i, i+1 by each step.
 
-        js is a run of consecutive stations, each with more than i + 1
-        corners.  Nothing is built, so the pricer may be called for as
-        many steps d as wanted while the state does not change.
+        js is one station or every station, each with more than i + 1
+        corners.  Nothing is built, so the pricer may be called as often
+        as wanted while the state does not change.  The steps of one call
+        are priced in one pass, each bit for bit as if it came alone.
         """
-        n = len(self.profiles)
+        cells = list(self._cells_of(js.start) if len(js) == 1 else range(len(self.dx)))
         profs = self.profiles[js.start:js.stop]
         a = np.array([p.slope_after_corners()[i - 1] for p in profs])
         corners = np.array([p.corners[i:i + 2] for p in profs])
         if len(js) == 1:
             # one station: its two boxes enter the cell on its left with
             # sign + and the cell on its right with sign -
-            cells = [c for c in (js.start - 1, js.start) if 0 <= c < n - 1]
             signs = np.array([1.0 if c < js.start else -1.0 for c in cells])
             starts = np.repeat(corners, len(cells), axis=0)
             weights = np.outer(signs * a, [1.0, -1.0])
         else:
             # every station: cell c carries the boxes of both its ends
-            cells = list(range(n - 1))
             starts = np.hstack((corners[1:], corners[:-1]))
             weights = np.column_stack((a[1:], -a[1:], -a[:-1], a[:-1]))
         # weights are the box weights over 2 sign(d), one row per cell
@@ -445,36 +450,40 @@ class _RelaxState:
             slopes = np.concatenate((ss[i:i + 2], -ss[i:i + 2]))
             boundary = (cs[i:i + 2], slopes, cs[rest], ss[rest], first.period)
 
-        def price(d: float) -> float:
-            w = abs(d)
-            x = starts + min(d, 0.0)
-            pts = np.concatenate((x, x + w), axis=1)
-            k = (ys <= pts[:, :, None]).sum(axis=2) - 1
+        def price(steps) -> list[float]:
+            # a leading probe axis; each sum runs over one probe's entries as if alone
+            d = np.asarray(steps, dtype=float)[:, None, None]
+            w = np.abs(d)
+            x = starts + np.minimum(d, 0.0)
+            pts = np.concatenate((x, x + w), axis=2)
+            k = (ys <= pts[..., None]).sum(axis=3) - 1
             y0, phi, big_e, e2, g6 = self.table[:, rows, k]
             t = pts - y0
             phi = phi + t * (big_e + t * (e2 + t * g6))
-            ends = phi[:, :boxes] - phi[:, boxes:]
-            inner = math.copysign(2.0, d) * (weights * ends).sum(axis=1)
-            cubes = np.maximum(w - dist, 0.0)
-            cubes = (pairs * cubes * cubes * cubes).sum(axis=(1, 2))
-            norm = -2.0 * w * w * lin - (2.0 / 3.0) * cubes
-            delta = float(np.dot(2.0 * inner + norm, inv_dx))
+            ends = phi[..., :boxes] - phi[..., boxes:]
+            inner = np.copysign(2.0, d[:, 0]) * (weights * ends).sum(axis=2)
+            cubes = np.maximum(w[..., None] - dist, 0.0)
+            cubes = (pairs * cubes * cubes * cubes).sum(axis=(2, 3))
+            norm = -2.0 * w[:, 0] * w[:, 0] * lin - (2.0 / 3.0) * cubes
+            deltas = [float(np.dot(v, inv_dx)) for v in 2.0 * inner + norm]
             if boundary is not None:
                 pair, slopes, cs_rest, ss_rest, h = boundary
-                rows_i = np.concatenate((pair + d, pair))
-                delta += 2.0 * self.params.beta * pair_sum(rows_i, slopes, cs_rest, ss_rest, h)
-            return delta
+                moved = np.hstack((pair + d[:, 0], np.broadcast_to(pair, (len(deltas), 2))))
+                sums = pair_sum(moved, slopes, cs_rest, ss_rest, h)
+                deltas = [v + 2.0 * self.params.beta * b for v, b in zip(deltas, sums)]
+            return deltas
 
         return price
 
     def apply(self, updates: dict[int, SawtoothProfile]) -> None:
         """Set the given stations' profiles; each touched cell is rebuilt once."""
+        first = self.profiles[0]
         for j, prof in updates.items():
             self.profiles[j] = prof
         for c in sorted({c for j in updates for c in self._cells_of(j)}):
             self.strain[c] = self._table_cell(c)
             self.surface[c] = self._surface_cell(c)
-        if 0 in updates:
+        if self.profiles[0] is not first:
             self.austenite = self._austenite(self.profiles[0])
         if len(self.profiles) == 1:
             self.single_surface = (
@@ -656,16 +665,17 @@ def relax(
         if cand is not None and state.delta_replace(j, cand) < -floor:
             accept({j: cand})
 
-    def line_search(s: float, lo: float, hi: float, delta_at) -> float | None:
+    def line_search(s: float, lo: float, hi: float, price) -> float | None:
         # probe both directions; take the parabolic vertex if it lowers
         # the energy, else the first probe that does
-        probes = [(d, delta_at(d)) for d in (s, -s) if lo < d < hi]
+        steps = [d for d in (s, -s) if lo < d < hi]
+        probes = list(zip(steps, price(steps)))
         if len(probes) == 2:
             dp, dm = probes[0][1], probes[1][1]
             a, b = (dp + dm) / (2.0 * s * s), (dp - dm) / (2.0 * s)
             if a > 0.0 and abs(b) > 0.0:
                 d = float(np.clip(-b / (2.0 * a), lo * 0.999, hi * 0.999))
-                if lo < d < hi and delta_at(d) < -floor:
+                if lo < d < hi and price([d])[0] < -floor:
                     return d
         return next((d for d, val in probes if val < -floor), None)
 
@@ -908,6 +918,8 @@ def phase_sweep(
     for r in rows:
         unit_s = math.sqrt(r.epsilon * r.beta / L) * area
         unit_b = (r.epsilon / L) ** (2.0 / 3.0) * area
+        if unit_s == 0.0 or unit_b == 0.0:
+            raise InvariantError(f"betas, epsilons: units underflow at {r.beta!r}, {r.epsilon!r}")
         c_s = max(c_s, r.e_striped / unit_s)
         c_b = max(c_b, r.e_branched / unit_b)
         best = min(v for v in (r.e_striped, r.e_branched, r.e_relaxed) if v is not None)

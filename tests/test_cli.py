@@ -152,6 +152,13 @@ def test_sweep_levels_max_below_one_exits_one(capsys):
         assert "levels_max" in err
 
 
+def test_sweep_scaling_unit_underflow_exits_one_naming_the_flags(capsys):
+    # sqrt(beta epsilon / L) underflows to 0; the measured constants divide by it
+    code, out, err = run_cli(capsys, "sweep", "--betas", "1e-300", "--epsilons", "1e-300")
+    assert code == 1 and not out
+    assert "betas" in err and "epsilons" in err and "Traceback" not in err
+
+
 def test_sweep_levels_max_is_clipped_at_the_merge_floor(capsys):
     args = ["sweep", "--betas", "1e-3,1.0", "--epsilons", "1e-5,1e-3"]
     code, deep, _ = run_cli(capsys, *args, "--levels-max", "1000000000")

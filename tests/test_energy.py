@@ -21,6 +21,7 @@ from twinstripe.energy import (
     h_half_sq,
     h_half_sq_fourier,
     l2_norm_sq,
+    pair_sum,
     strain_energy,
     surface_energy,
     total_energy,
@@ -283,6 +284,22 @@ def test_pair_sum_blocks_match_single_block(monkeypatch):
         assert abs(h_half_inner(f, g) - whole[0]) <= 1e-12
         monkeypatch.setattr(energy, "_BLOCK_ENTRIES", step * rows)
         assert abs(h_half_sq(f) - whole[1]) <= 1e-12
+
+
+def test_pair_sum_prices_probe_rows_each_as_its_own_call(monkeypatch):
+    # rows with a leading probe axis give each probe's sum bit for bit,
+    # in one block and split over several
+    rng = np.random.default_rng(96)
+    f = random_profile(rng, n_teeth=9)
+    g = random_profile(rng, n_teeth=6)
+    sf, cg, sg = f.slope_after_corners(), np.asarray(g.corners), g.slope_after_corners()
+    probes = np.asarray(f.corners) + rng.uniform(-0.1, 0.1, (3, 1))
+    for block in (2**18, len(cg), 4 * len(cg)):
+        monkeypatch.setattr(energy, "_BLOCK_ENTRIES", block)
+        sums = pair_sum(probes, sf, cg, sg, f.period)
+        assert sums.shape == (3,)
+        assert sums.tolist() == [pair_sum(rows, sf, cg, sg, f.period) for rows in probes]
+    assert pair_sum(probes[:, :0], sf[:0], cg, sg, f.period).tolist() == [0.0] * 3
 
 
 def test_pair_sum_memory_bounded_in_corner_count():

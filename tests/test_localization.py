@@ -182,6 +182,23 @@ def test_interval_pairings_blocks_match_single_block(monkeypatch):
         assert np.max(np.abs(loc._interval_pairings(w, u0, part) - whole)) <= 1e-15
 
 
+def test_partition_boundaries_are_built_once(monkeypatch):
+    # interval(k), star_pieces(k) and widths read one cached array, so a
+    # pass over all K intervals costs O(K), not O(K^2)
+    rng = np.random.default_rng(10)
+    part = loc.build_partition(random_profile(rng, 1.0, 6))
+    appends = []
+    append = np.append
+    monkeypatch.setattr(np, "append", lambda *a, **k: appends.append(1) or append(*a, **k))
+    bnd = part.boundaries
+    for k in range(part.count):
+        a, b = part.interval(k)
+        assert part.star_pieces(k)[1] == (a, b) == (bnd[k], bnd[k + 1])
+    assert np.array_equal(part.widths, np.diff(bnd))
+    assert part.boundaries is bnd and len(appends) <= 1
+    assert not bnd.flags.writeable
+
+
 def assert_interval_l2_matches_windows(p, q, part):
     got = loc._interval_l2_sq(p, q, part)
     ref = interval_l2_sq_reference(p, q, part)

@@ -279,6 +279,37 @@ def test_column_move_keeps_a_shared_profile_shared(monkeypatch):
     assert len({id(p) for p in final.profiles}) == 1
 
 
+def test_shared_profile_cells_are_free(monkeypatch):
+    # a cell between two stations holding one profile object has e = 0
+    # exactly: its table is zeros on the profile's nodes, built without
+    # merging node sets or evaluating either profile
+    params = ModelParams(1e-2, 1e-3, 1.0, 1.0)
+    start = jittered_striped(params, 4, 5, seed=3)
+    state = op._RelaxState(start)
+    prof = start.profiles[2]
+    calls = []
+    union1d, evaluate = np.union1d, SawtoothProfile.evaluate
+    monkeypatch.setattr(np, "union1d", lambda *a: calls.append("union1d") or union1d(*a))
+    monkeypatch.setattr(
+        SawtoothProfile, "evaluate", lambda self, y: calls.append("evaluate") or evaluate(self, y)
+    )
+    state.apply(dict.fromkeys(range(5), prof))
+    assert calls == []
+    ys = prof.nodes()[0]
+    assert np.array_equal(state.table[0, :, : len(ys)], np.tile(ys, (4, 1)))
+    assert np.all(state.table[0, :, len(ys):] == np.inf)
+    assert not state.table[1:].any()
+    assert state.strain == state.mass == [0.0] * 4
+    # the general route lands on the same table: e = p - p is +0.0 everywhere
+    monkeypatch.undo()
+    twin = op._RelaxState(Configuration(params, start.stations, tuple(
+        SawtoothProfile(prof.period, prof.offset, prof.initial_slope, prof.corners)
+        if j % 2 else prof for j in range(5)
+    )))
+    assert np.array_equal(twin.table, state.table[:, :, : len(ys)])
+    assert twin.strain == state.strain and twin.mass == state.mass
+
+
 def trapezoid(prof, i, d, y):
     """new - old for corners i, i+1 of prof shifted by d, at the points y."""
     a = prof.slope_after_corners()[i - 1]
@@ -312,6 +343,11 @@ def _pair_cases(state):
                     yield j, i, d
 
 
+def _check_one_pass(pricer, steps):
+    """Pricing steps in one call gives each one's own price, bit for bit."""
+    assert pricer(steps) == [pricer([d])[0] for d in steps], steps
+
+
 def _check_probe_prices(config):
     state = op._RelaxState(config)
     n = len(state.profiles)
@@ -320,7 +356,7 @@ def _check_probe_prices(config):
     checked = 0
     for j, i, d in _pair_cases(state):
         moved = op._shift_pair(state.profiles[j], i, d)
-        exact = state.shift_pricer(range(j, j + 1), i)(d)
+        exact = state.shift_pricer(range(j, j + 1), i)([d])[0]
         full = state.delta_replace(j, moved)
         norm = l2_distance(moved, state.profiles[j]) ** 2
         scale = abs(state.austenite) + sum(
@@ -328,6 +364,13 @@ def _check_probe_prices(config):
         )
         assert abs(exact - full) <= 1e-12 * max(1e-300, scale), (j, i, d, exact, full)
         checked += 1
+    for j in range(n):
+        for i in range(len(state.profiles[j].corners) - 1):
+            # the +-s probes of a line search, then every case of the station at once
+            pricer = state.shift_pricer(range(j, j + 1), i)
+            s = state.profiles[j].period / (32.0 * len(state.profiles[j].corners))
+            _check_one_pass(pricer, [s, -s])
+            _check_one_pass(pricer, [d for jj, ii, d in _pair_cases(state) if (jj, ii) == (j, i)])
     for j in range(n):
         for d in (1e-2 * h, -3e-3 * h):
             full = state.delta_replace(j, state.profiles[j].with_offset_shift(d))
@@ -391,9 +434,13 @@ def test_column_prices_match_full_recompute():
                 scale = abs(state.austenite) + sum(
                     state.strain[c] + (norms[c] + norms[c + 1]) / state.dx[c] for c in range(n - 1)
                 )
-                exact = state.shift_pricer(range(n), i)(d)
+                exact = state.shift_pricer(range(n), i)([d])[0]
                 assert abs(exact - full) <= 1e-12 * scale, (i, d, exact, full)
                 checked += 1
+            pricer = state.shift_pricer(range(n), i)
+            s = state.profiles[0].period / (32.0 * len(state.profiles[0].corners))
+            _check_one_pass(pricer, [s, -s])
+            _check_one_pass(pricer, [0.5 * hi, 0.5 * lo, 0.9 * hi])
     assert checked >= 12
 
 
