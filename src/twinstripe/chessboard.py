@@ -51,6 +51,11 @@ __all__ = [
 ]
 
 _OVERLAP_TOL = 1e-9
+# Screening rates the kernels accept: x**3 (x = alpha T), alpha**-4 and
+# x**4 stay finite and normal for cell widths 1e-16 <= T <= 1e42.  They
+# overflow to NaN past alpha T ~ 5e102 and below alpha ~ 1e-77.
+ALPHA_RANGE = (1e-60, 1e60)
+_MAX_PIECES = 3  # most pieces of a random segment
 
 # Power series for the two entire functions behind the cell integrals:
 #   f2(x) = x - 1 + exp(-x)          = sum_{n>=2} (-x)^n / n! * (-1)^n ...
@@ -279,9 +284,11 @@ def _screened_groups(cells: np.ndarray, starts, alphas: np.ndarray, tables=None)
 
 
 def _check_alphas(alphas) -> np.ndarray:
+    """alphas as a nonempty float array, each inside ALPHA_RANGE."""
     al = np.atleast_1d(np.asarray(alphas, dtype=float))
-    if not np.all((al > 0.0) & np.isfinite(al)):
-        raise InvariantError("alpha must be positive and finite")
+    lo, hi = ALPHA_RANGE
+    if not al.size or not np.all((al >= lo) & (al <= hi)):
+        raise InvariantError(f"alphas: must lie in [{lo!r}, {hi!r}], got {al.tolist()!r}")
     return al
 
 
@@ -496,10 +503,8 @@ def _span_mismatch(va, vb, width, alphas: np.ndarray) -> np.ndarray:
 
 def _spans(profile: SawtoothProfile) -> tuple:
     """Start values, end values and widths of the spans of an anchored profile."""
-    corners = np.asarray(profile.corners)
-    gaps = np.diff(np.concatenate([corners, [profile.period + corners[0]]]))
-    cv = np.asarray(profile.corner_values())
-    return cv, np.roll(cv, -1), gaps
+    cv = profile.corner_values()
+    return cv, np.roll(cv, -1), profile._gaps()
 
 
 def screened_mismatch(profile: SawtoothProfile, alphas) -> np.ndarray:
@@ -572,17 +577,17 @@ def check_master_inequality(
     )
 
 
-def _draw_segment(rng: np.random.Generator, max_pieces: int) -> tuple:
+def _draw_segment(rng: np.random.Generator) -> tuple:
     """Widths and values of a random segment with O(1) length and values."""
-    pieces = int(rng.integers(1, max_pieces + 1))
+    pieces = int(rng.integers(1, _MAX_PIECES + 1))
     length = float(rng.uniform(0.2, 1.5))
     raw = rng.uniform(0.1, 1.0, size=pieces)
     return raw / raw.sum() * length, rng.uniform(-1.0, 1.0, size=pieces + 1)
 
 
-def random_segment(rng: np.random.Generator, max_pieces: int = 3) -> Segment:
+def random_segment(rng: np.random.Generator) -> Segment:
     """Random piecewise-linear segment with O(1) length and values."""
-    return Segment(*_draw_segment(rng, max_pieces))
+    return Segment(*_draw_segment(rng))
 
 
 def _blocks(draw, trials: int, size, n_alphas: int):
@@ -619,14 +624,11 @@ def verify_suite(trials: int = 100, seed: int = 0, alphas=(0.1, 1.0, 10.0)) -> d
     """
     if not isinstance(trials, (int, np.integer)) or trials < 1:
         raise InvariantError(f"trials: must be a positive integer, got {trials!r}")
-    alphas = tuple(float(a) for a in alphas)
-    if not alphas or not all(a > 0.0 and math.isfinite(a) for a in alphas):
-        raise InvariantError(f"alphas: must be positive and finite, got {alphas!r}")
+    al = _check_alphas(alphas)
     rng = np.random.default_rng(seed)
-    al = np.array(alphas)
 
     def segments(lo: int, hi: int) -> list:
-        return [_draw_segment(rng, 3) for _ in range(int(rng.integers(lo, hi)))]
+        return [_draw_segment(rng) for _ in range(int(rng.integers(lo, hi)))]
 
     def pieces(segs: list) -> int:
         return 3 * sum(len(w) for w, _ in segs)
@@ -639,7 +641,7 @@ def verify_suite(trials: int = 100, seed: int = 0, alphas=(0.1, 1.0, 10.0)) -> d
         ("master", lambda: _anchor_at_corner(random_profile(rng, 1.0)),
          lambda prof: 3 * len(prof.corners), _master_values),
     )
-    report = {"trials": int(trials), "seed": int(seed), "alphas": list(alphas)}
+    report = {"trials": int(trials), "seed": int(seed), "alphas": al.tolist()}
     for name, draw, size, values in families:
         slacks = []
         for block in _blocks(draw, int(trials), size, al.size):

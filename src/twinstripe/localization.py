@@ -362,12 +362,8 @@ def _assemble_notch_profile(
     events, first_slope = _merge_degenerate(events, -1, h)
     if len(events) < 2:
         raise InvariantError("comparison profile degenerated everywhere")
-    pos = np.mod(events, h)
-    slope_after = first_slope * (-1) ** np.arange(len(events))
-    order = np.argsort(pos)
-    pos, slope_after = pos[order], slope_after[order]
-    init = int(slope_after[-1]) if pos[0] > 0.0 else int(slope_after[0])
-    raw = SawtoothProfile(h, 0.0, init, tuple(pos))
+    slopes = first_slope * (-1) ** np.arange(len(events))
+    raw = SawtoothProfile.from_positions(h, 0.0, events, slopes)
     anchor = float(part.boundaries[0])
     return raw.with_offset_shift(float(u0.evaluate(anchor)) - float(raw.evaluate(anchor)))
 

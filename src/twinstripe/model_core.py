@@ -221,6 +221,19 @@ class SawtoothProfile:
         ys.flags.writeable = vs.flags.writeable = False
         return ys, vs
 
+    @classmethod
+    def from_positions(cls, period: float, offset: float, positions, slopes) -> "SawtoothProfile":
+        """Profile with corners at the given positions, in any order, taken mod period.
+
+        slopes[k] is the slope right after positions[k]; y = 0 lies on the
+        segment after the last corner unless a corner sits at 0.
+        """
+        pos = np.mod(np.asarray(positions, dtype=float), period)
+        order = np.argsort(pos, kind="stable")
+        pos, after = pos[order], np.asarray(slopes)[order]
+        init = int(after[-1] if pos[0] > 0.0 else after[0])
+        return cls(period, offset, init, tuple(pos))
+
     def _gaps(self) -> np.ndarray:
         """Segment lengths between consecutive corners, cyclic."""
         return self._gap
@@ -270,16 +283,7 @@ class SawtoothProfile:
 
     def translated(self, dy: float) -> "SawtoothProfile":
         """Profile of u(y - dy) (graph shifted right by dy)."""
-        h = self.period
-        new_offset = float(self.evaluate(-dy))
-        shifted = np.mod(np.asarray(self.corners) + dy, h)
-        order = np.argsort(shifted, kind="stable")
-        shifted = shifted[order]
-        slopes = self.slope_after_corners()[order]
-        # slope at y=0 of the shifted profile: slope after the last corner
-        # below the wrap, which is the slope after shifted[-1]
-        init = int(slopes[-1]) if shifted[0] > 0.0 else int(slopes[0])
-        return SawtoothProfile(h, new_offset, init, tuple(shifted))
+        return self.from_positions(self.period, float(self.evaluate(-dy)), self._c + dy, self._s)
 
     def with_offset_shift(self, delta: float) -> "SawtoothProfile":
         return replace(self, offset=self.offset + delta)
@@ -482,11 +486,7 @@ def random_profile(
     else:  # pragma: no cover - vanishing probability
         raise NonConvergenceError("could not draw well-separated gaps")
     start = rng.random() * period
-    corners = np.mod(start + np.concatenate(([0.0], np.cumsum(gaps[:-1]))), period)
-    order = np.argsort(corners)
-    corners = corners[order]
-    # slope after the j-th drawn corner is +1 for even j (rising gap follows)
-    slopes = np.where(np.arange(2 * m) % 2 == 0, 1, -1)[order]
-    init = int(slopes[-1]) if corners[0] > 0.0 else int(slopes[0])
     offset = float(rng.normal() * 0.1 * period)
-    return SawtoothProfile(period, offset, init, tuple(corners))
+    # slope after the j-th drawn corner is +1 for even j (rising gap follows)
+    pos = start + np.concatenate(([0.0], np.cumsum(gaps[:-1])))
+    return SawtoothProfile.from_positions(period, offset, pos, (-1) ** np.arange(2 * m))

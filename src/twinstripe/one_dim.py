@@ -53,6 +53,7 @@ def _zeta(s: int, terms: int = 256) -> float:
 ZETA3 = _zeta(3)
 C0 = 14.0 * ZETA3 / math.pi**2
 CS = 2.0 * math.sqrt(C0)
+_REGIME_FACTOR = 10.0  # see cs_asymptotic_check
 
 
 @dataclass(frozen=True)
@@ -115,13 +116,8 @@ def make_w_m(
     if not isinstance(m, (int, np.integer)) or m < 2 or m % 2 != 0:
         raise InvariantError(f"interface count must be an even integer >= 2, got {m!r}")
     h = params.height_h
-    raw = np.mod(y0 + h * np.arange(m) / m, h)
-    order = np.argsort(raw)
-    corners = raw[order]
     # slope after the j-th generated corner alternates starting at +1
-    slopes = np.where(np.arange(m) % 2 == 0, 1, -1)[order]
-    init = int(slopes[-1]) if corners[0] > 0.0 else int(slopes[0])
-    prof = SawtoothProfile(h, 0.0, init, tuple(corners))
+    prof = SawtoothProfile.from_positions(h, 0.0, y0 + h * np.arange(m) / m, (-1) ** np.arange(m))
     return prof.with_offset_shift(a0 - float(prof.evaluate(y0)))
 
 
@@ -144,20 +140,20 @@ def lower_bound_decomposition(
     return e1d(m0, params), spread
 
 
-def cs_asymptotic_check(params: ModelParams, regime_factor: float = 10.0) -> CsReport:
+def cs_asymptotic_check(params: ModelParams) -> CsReport:
     """Compare the optimal striped energy with its square-root law.
 
     ratio = E1D(M*) / (h L c_s sqrt(beta eps / L)) should sit within
-    1 +- regime_factor * L eps / (h^2 beta) whenever beta is at least
-    regime_factor * eps L / h^2; outside that regime the check is
-    reported but not binding.
+    1 +- f L eps / (h^2 beta) whenever beta is at least f eps L / h^2,
+    f = _REGIME_FACTOR; outside that regime the check is reported but
+    not binding.
     """
     b, eps, L, h = params.beta, params.epsilon, params.length_L, params.height_h
     res = optimal_even_m(params)
     denom = h * L * CS * math.sqrt(b * eps / L)
     ratio = res.energy / denom
-    margin = regime_factor * L * eps / (h * h * b)
-    in_regime = b >= regime_factor * eps * L / (h * h)
+    margin = _REGIME_FACTOR * L * eps / (h * h * b)
+    in_regime = b >= _REGIME_FACTOR * eps * L / (h * h)
     passes = (not in_regime) or (1.0 - margin <= ratio <= 1.0 + margin)
     return CsReport(
         ratio=ratio,

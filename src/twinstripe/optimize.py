@@ -309,15 +309,16 @@ class _RelaxState:
     * Shifting the offset of station j by d changes ||e_c||^2 by
       +-2 d E(h) + d^2 h and leaves the boundary term alone.
 
-    Whole-profile replacements (neighbor copies, topology moves) are
-    priced by ``delta_replace`` from ``l2_distance`` and the pair sum.
+    Moves that hand whole profiles to stations (neighbor copies, uniform
+    and topology moves) are priced by ``delta`` from ``l2_distance`` and
+    the pair sum.
     """
 
     def __init__(self, config: Configuration):
         self.params = config.params
         self.stations = list(config.stations)
         self.profiles = list(config.profiles)
-        self.dx = np.diff(np.asarray(self.stations))
+        self.dx = np.diff(np.asarray(self.stations)).tolist()
         n = len(self.profiles)
         self.strain = [0.0] * (n - 1)
         self.surface = [0.0] * (n - 1)
@@ -333,18 +334,10 @@ class _RelaxState:
     def _austenite(self, prof: SawtoothProfile) -> float:
         return self.params.beta * h_half_sq(prof)
 
-    def _strain_cell(self, j: int) -> float:
-        if self.profiles[j] is self.profiles[j + 1]:
-            return 0.0  # a neighbor copy: l2_distance(p, p) is exactly 0
-        d = l2_distance(self.profiles[j], self.profiles[j + 1])
-        return d * d / float(self.dx[j])
-
-    def _surface_cell(self, j: int) -> float:
-        count = max(
-            self.profiles[j].interface_count(),
-            self.profiles[j + 1].interface_count(),
-        )
-        return self.params.epsilon * float(self.dx[j]) * count
+    def _surfaces(self, cells) -> list[float]:
+        """Surface term of each cell: epsilon dx_c times its larger corner count."""
+        eps, ps = self.params.epsilon, self.profiles
+        return [eps * self.dx[c] * max(len(ps[c].corners), len(ps[c + 1].corners)) for c in cells]
 
     def _table_cell(self, c: int) -> float:
         """Rebuild the moment table of cell c and return its strain."""
@@ -363,7 +356,7 @@ class _RelaxState:
         self._write_table(c, (ys, np.concatenate(([0.0], phi)), big_e, 0.5 * e, g6))
         self.mass[c] = float(big_e[-1])
         d = math.sqrt(max(total, 0.0))
-        return d * d / float(self.dx[c])
+        return d * d / self.dx[c]
 
     def _write_table(self, c: int, rows: tuple[np.ndarray, ...]) -> None:
         """Set the leading rows of cell c's table, growing it to fit; other rows are 0."""
@@ -381,25 +374,40 @@ class _RelaxState:
     def total(self) -> float:
         return self.austenite + sum(self.strain) + sum(self.surface) + self.single_surface
 
+    def _single_surface(self) -> float:
+        return self.params.epsilon * self.params.length_L * self.profiles[0].interface_count()
+
     def _cells_of(self, j: int) -> tuple[int, ...]:
         return tuple(c for c in (j - 1, j) if 0 <= c < len(self.profiles) - 1)
 
-    def delta_replace(self, j: int, prof: SawtoothProfile) -> float:
-        """Energy change if station j took the given profile."""
-        old = self.profiles[j]
-        self.profiles[j] = prof
+    def _touched(self, stations) -> range | list[int]:
+        """Cells with an end among the given stations, in order."""
+        if len(stations) == len(self.profiles):
+            return range(len(self.dx))
+        return sorted({c for j in stations for c in self._cells_of(j)})
+
+    def delta(self, updates: dict[int, SawtoothProfile]) -> float:
+        """Energy change if the given stations took the given profiles.
+
+        Summed as each touched cell's strain then surface change, then
+        the boundary term, then the surface of a lone station.
+        """
+        old = self.profiles
+        self.profiles = old.copy()
+        for j, prof in updates.items():
+            self.profiles[j] = prof
         delta = 0.0
-        for c in self._cells_of(j):
-            delta += self._strain_cell(c) - self.strain[c]
-            delta += self._surface_cell(c) - self.surface[c]
-        if j == 0:
-            delta += self._austenite(prof) - self.austenite
-        if len(self.profiles) == 1:
-            delta += (
-                self.params.epsilon * self.params.length_L * prof.interface_count()
-                - self.single_surface
-            )
-        self.profiles[j] = old
+        cells = self._touched(updates)
+        for c, surface in zip(cells, self._surfaces(cells)):
+            p, q = self.profiles[c], self.profiles[c + 1]
+            d = 0.0 if p is q else l2_distance(p, q)  # l2_distance(p, p) is exactly 0
+            delta += d * d / self.dx[c] - self.strain[c]
+            delta += surface - self.surface[c]
+        if self.profiles[0] is not old[0]:
+            delta += self._austenite(self.profiles[0]) - self.austenite
+        if len(old) == 1:
+            delta += self._single_surface() - self.single_surface
+        self.profiles = old
         return delta
 
     def offset_delta(self, j: int, d: float) -> float:
@@ -408,7 +416,7 @@ class _RelaxState:
         delta = 0.0
         for c, sign in ((j - 1, 1.0), (j, -1.0)):
             if 0 <= c < len(self.strain):
-                delta += (sign * 2.0 * d * self.mass[c] + d * d * h) / float(self.dx[c])
+                delta += (sign * 2.0 * d * self.mass[c] + d * d * h) / self.dx[c]
         return delta
 
     def shift_pricer(self, js: range, i: int):
@@ -440,7 +448,7 @@ class _RelaxState:
         dist = np.abs(starts[:, :, None] - starts[:, None, :])
         pairs = weights[:, :, None] * weights[:, None, :]
         lin = (pairs * dist).sum(axis=(1, 2))
-        inv_dx = 1.0 / self.dx[cells]
+        inv_dx = 1.0 / np.array([self.dx[c] for c in cells])
         boundary = None
         if js.start == 0:
             first = self.profiles[0]
@@ -480,15 +488,14 @@ class _RelaxState:
         first = self.profiles[0]
         for j, prof in updates.items():
             self.profiles[j] = prof
-        for c in sorted({c for j in updates for c in self._cells_of(j)}):
+        cells = self._touched(updates)
+        for c, surface in zip(cells, self._surfaces(cells)):
             self.strain[c] = self._table_cell(c)
-            self.surface[c] = self._surface_cell(c)
+            self.surface[c] = surface
         if self.profiles[0] is not first:
             self.austenite = self._austenite(self.profiles[0])
         if len(self.profiles) == 1:
-            self.single_surface = (
-                self.params.epsilon * self.params.length_L * self.profiles[0].interface_count()
-            )
+            self.single_surface = self._single_surface()
 
     def config(self) -> Configuration:
         return Configuration(self.params, tuple(self.stations), tuple(self.profiles))
@@ -547,15 +554,7 @@ def _rebuild_from_gaps(
         raise InvariantError("degenerate gap sequence")
     scaled = np.where(signs > 0, gaps * (h / 2.0) / rise, gaps * (h / 2.0) / fall)
     pos = anchor + np.concatenate(([0.0], np.cumsum(scaled[:-1])))
-    wrapped = np.mod(pos, h)
-    order = np.argsort(wrapped, kind="stable")
-    corners = wrapped[order]
-    slopes = signs[order]
-    if corners[0] <= 0.0:
-        init = int(slopes[0])
-    else:
-        init = int(-slopes[0])
-    trial = SawtoothProfile(h, 0.0, init, tuple(corners))
+    trial = SawtoothProfile.from_positions(h, 0.0, pos, signs)
     return trial.with_offset_shift(prof.mean() - trial.mean())
 
 
@@ -564,17 +563,14 @@ def _annihilate_tooth(prof: SawtoothProfile) -> SawtoothProfile | None:
     if prof.interface_count() <= 2:
         return None
     corners = np.asarray(prof.corners)
-    slopes = prof.slope_after_corners()
-    gaps = np.diff(np.append(corners, corners[0] + prof.period))
+    slopes, gaps = prof.slope_after_corners(), prof._gaps()
     rises = np.flatnonzero(slopes > 0)
     i = int(rises[np.argmin(gaps[rises])])
     keep = [j for j in range(len(corners)) if j not in (i, (i + 1) % len(corners))]
     if len(keep) < 2:
         return None
     anchor = float(corners[keep[0]])
-    new_gaps = np.diff(
-        np.append(corners[keep], corners[keep[0]] + prof.period)
-    )
+    new_gaps = np.diff(np.append(corners[keep], corners[keep[0]] + prof.period))
     return _rebuild_from_gaps(prof, anchor, new_gaps, int(slopes[keep[0]]))
 
 
@@ -591,20 +587,14 @@ def _resnap_count(prof: SawtoothProfile, new_count: int) -> SawtoothProfile | No
     valleys = [c for c, s in zip(prof.corners, slopes) if s > 0]
     if not valleys:
         return None
-    raw = np.mod(valleys[0] + h * np.arange(new_count) / new_count, h)
-    order = np.argsort(raw)
-    corners = raw[order]
-    sl = np.where(np.arange(new_count) % 2 == 0, 1, -1)[order]
-    init = int(sl[0]) if corners[0] == 0.0 else int(-sl[0])
-    trial = SawtoothProfile(h, 0.0, init, tuple(corners))
+    pos = valleys[0] + h * np.arange(new_count) / new_count
+    trial = SawtoothProfile.from_positions(h, 0.0, pos, (-1) ** np.arange(new_count))
     return trial.with_offset_shift(prof.mean() - trial.mean())
 
 
 def _create_tooth(prof: SawtoothProfile) -> SawtoothProfile | None:
     """Split the longest fall with a small new tooth, then renormalize."""
-    corners = np.asarray(prof.corners)
-    slopes = prof.slope_after_corners()
-    gaps = np.diff(np.append(corners, corners[0] + prof.period))
+    slopes, gaps = prof.slope_after_corners(), prof._gaps()
     falls = np.flatnonzero(slopes < 0)
     i = int(falls[np.argmax(gaps[falls])])
     f = gaps[i]
@@ -618,7 +608,17 @@ def _create_tooth(prof: SawtoothProfile) -> SawtoothProfile | None:
             gap_list.extend([lead, 0.25 * f, lead])
         else:
             gap_list.append(float(g))
-    return _rebuild_from_gaps(prof, float(corners[0]), np.asarray(gap_list), slope0)
+    return _rebuild_from_gaps(prof, prof.corners[0], np.asarray(gap_list), slope0)
+
+
+# Proposals that change a profile's interface count, tried in this order
+# at each station and then at every station at once.
+_TOPOLOGY_MOVES = (
+    _annihilate_tooth,
+    lambda p: _resnap_count(p, len(p.corners) - 2),
+    _create_tooth,
+    lambda p: _resnap_count(p, len(p.corners) + 2),
+)
 
 
 def relax(
@@ -645,8 +645,8 @@ def relax(
     priced exactly from per-cell moment tables (a trapezoid added to one
     profile, a constant, a trapezoid added to every profile; see
     ``_RelaxState``), so a profile is built only for an accepted move;
-    stored strains still come from the full-cell integral.  Neighbor
-    copies and topology moves are priced by re-integrating their cells.
+    stored strains still come from the full-cell integral.  Moves that
+    hand whole profiles to stations are priced by ``_RelaxState.delta``.
     """
     state = _RelaxState(start)
     if history is not None:
@@ -661,9 +661,9 @@ def relax(
         if history is not None:
             history.append(state.total)
 
-    def try_move(j: int, cand: SawtoothProfile | None) -> None:
-        if cand is not None and state.delta_replace(j, cand) < -floor:
-            accept({j: cand})
+    def try_move(updates: dict[int, SawtoothProfile | None]) -> None:
+        if all(p is not None for p in updates.values()) and state.delta(updates) < -floor:
+            accept(updates)
 
     def line_search(s: float, lo: float, hi: float, price) -> float | None:
         # probe both directions; take the parabolic vertex if it lowers
@@ -688,22 +688,12 @@ def relax(
         if d is not None:
             accept({j: _shift_pair(prof, i, d)})
 
-    def column_topology(maker) -> None:
-        # teeth appear or vanish across the whole rectangle at once;
-        # one station alone never pays because the cell surface term
-        # takes the larger endpoint count
-        cands = [maker(p) for p in state.profiles]
-        if any(q is None for q in cands):
-            return
-        delta = state._austenite(cands[0]) - state.austenite
-        for c in range(n - 1):
-            d = l2_distance(cands[c], cands[c + 1])
-            delta += d * d / float(state.dx[c]) - state.strain[c]
-        for c in range(n - 1):
-            count = max(cands[c].interface_count(), cands[c + 1].interface_count())
-            delta += state.params.epsilon * float(state.dx[c]) * count - state.surface[c]
-        if delta < -floor:
-            accept(dict(enumerate(cands)))
+    def across(make) -> dict[int, SawtoothProfile | None]:
+        # make's image of every station's profile; stations that shared a
+        # profile share its image
+        distinct = {id(p): p for p in state.profiles}
+        made = {key: make(p) for key, p in distinct.items()}
+        return {j: made[id(p)] for j, p in enumerate(state.profiles)}
 
     def column_move(i: int) -> None:
         ranges = [_shift_range(p, i) for p in state.profiles]
@@ -711,32 +701,21 @@ def relax(
         hi = min(r[1] for r in ranges)
         d = line_search(step(state.profiles[0]), lo, hi, state.shift_pricer(range(n), i))
         if d is not None:
-            # stations that shared a profile share its shifted copy
-            distinct = {id(p): p for p in state.profiles}
-            moved = {key: _shift_pair(p, i, d) for key, p in distinct.items()}
-            accept({j: moved[id(p)] for j, p in enumerate(state.profiles)})
+            accept(across(lambda p: _shift_pair(p, i, d)))
 
     def uniform_move() -> None:
         # cascade of neighbor copies: one station's profile everywhere,
         # wiping the strain in a single accepted step
-        strain_now = sum(state.strain)
-        best_j, best_delta = -1, -floor
-        priced: set[SawtoothProfile] = set()
-        for j, prof in enumerate(state.profiles):
-            # neighbor copies and column moves leave equal profiles at
-            # many stations; a repeat prices the same and cannot beat the
-            # first of them, so each distinct profile is priced once
-            if prof in priced:
-                continue
-            priced.add(prof)
-            delta = state._austenite(prof) - state.austenite - strain_now
-            count = prof.interface_count()
-            for c in range(n - 1):
-                delta += state.params.epsilon * float(state.dx[c]) * count - state.surface[c]
+        best, best_delta = None, -floor
+        # neighbor copies and column moves leave equal profiles at many
+        # stations; a repeat prices the same and cannot beat the first of
+        # them, so each distinct profile is priced once, first one first
+        for prof in dict.fromkeys(state.profiles):
+            delta = state.delta(dict.fromkeys(range(n), prof))
             if delta < best_delta:
-                best_j, best_delta = j, delta
-        if best_j >= 0:
-            accept(dict.fromkeys(range(n), state.profiles[best_j]))
+                best, best_delta = prof, delta
+        if best is not None:
+            accept(dict.fromkeys(range(n), best))
 
     n = len(state.profiles)
     for sweep in range(opts.max_iters):
@@ -745,9 +724,9 @@ def relax(
         order = range(n) if sweep % 2 == 0 else range(n - 1, -1, -1)
         for j in order:
             if j > 0:
-                try_move(j, state.profiles[j - 1])
+                try_move({j: state.profiles[j - 1]})
             if j < n - 1:
-                try_move(j, state.profiles[j + 1])
+                try_move({j: state.profiles[j + 1]})
             for i in range(len(state.profiles[j].corners) - 1):
                 pair_move(j, i)
             s = step(state.profiles[j])
@@ -756,17 +735,16 @@ def relax(
                     accept({j: state.profiles[j].with_offset_shift(d)})
             if opts.topology_moves:
                 p = state.profiles[j]
-                try_move(j, _annihilate_tooth(p))
-                try_move(j, _resnap_count(p, len(p.corners) - 2))
-                try_move(j, _create_tooth(p))
-                try_move(j, _resnap_count(p, len(p.corners) + 2))
+                for make in _TOPOLOGY_MOVES:
+                    try_move({j: make(p)})
         if n > 1:
             uniform_move()
             if opts.topology_moves:
-                column_topology(_annihilate_tooth)
-                column_topology(lambda p: _resnap_count(p, len(p.corners) - 2))
-                column_topology(_create_tooth)
-                column_topology(lambda p: _resnap_count(p, len(p.corners) + 2))
+                # teeth appear or vanish across the whole rectangle at
+                # once; one station alone never pays because the cell
+                # surface term takes the larger endpoint count
+                for make in _TOPOLOGY_MOVES:
+                    try_move(across(make))
         # rigid column moves: same pair, same shift, every station at once
         if n > 1 and len({len(p.corners) for p in state.profiles}) == 1:
             for i in range(len(state.profiles[0].corners) - 1):
@@ -881,8 +859,7 @@ def _sweep_point(
     best = min(entries.values())
     winners = [name for name, v in entries.items() if v == best]
     winner = winners[0] if len(winners) == 1 else "degenerate"
-    sigma = beta * epsilon ** (-1.0 / 3.0) * template.length_L ** (1.0 / 3.0)
-    return SweepRow(beta, epsilon, sigma, e_striped, e_branched, e_relaxed, winner, m_star)
+    return SweepRow(beta, epsilon, p.sigma(), e_striped, e_branched, e_relaxed, winner, m_star)
 
 
 def phase_sweep(

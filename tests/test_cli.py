@@ -222,12 +222,20 @@ def test_verify_chessboard_rejects_bad_alphas_and_trials(capsys):
     )
     assert code == 0
     assert json.loads(out)["chessboard"]["min_slack"] >= -1e-9
-    for bad in ("nan", "1,inf", "0"):
+    # outside chessboard.ALPHA_RANGE the cell integrals overflow to NaN
+    outside = ("1e103", "1e150", "1e300", "1e-78", "1e-80", "1e-300", "0.1,1e103")
+    for bad in ("nan", "1,inf", "0") + outside:
         code, out, err = run_cli(
-            capsys, "verify-chessboard", "--trials", "1", "--alphas", bad
+            capsys, "verify-chessboard", "--trials", "3", "--alphas", bad
         )
-        assert code == 1 and not out
-        assert "alphas" in err
+        assert code == 1 and not out, bad
+        assert "alphas" in err and "Traceback" not in err
+    # its ends give finite slacks
+    for edge in ("1e-60", "1e60"):
+        code, out, _ = run_cli(capsys, "verify-chessboard", "--trials", "3", "--alphas", edge)
+        assert code == 0
+        for family in ("rp", "chessboard", "master"):
+            assert all(math.isfinite(v) for v in json.loads(out)[family].values()), edge
     for bad in ("0", "-2"):
         code, out, err = run_cli(capsys, "verify-chessboard", "--trials", bad)
         assert code == 1 and not out
@@ -333,9 +341,7 @@ LIBRARY_TUNABLES = {
     "model_core.random_profile": {"period", "n_teeth", "max_teeth", "min_gap_frac"},
     "energy.h_half_sq_fourier": {"cutoff"},
     "one_dim.make_w_m": {"y0", "a0"},
-    "one_dim.cs_asymptotic_check": {"regime_factor"},
     "chessboard.check_master_inequality": {"alphas", "integrate"},
-    "chessboard.random_segment": {"max_pieces"},
     "chessboard.verify_suite": {"trials", "seed", "alphas"},
     "localization.bmo_seminorm": {"min_width_frac"},
     "localization.classify_intervals": {"eta", "kappa"},
@@ -373,7 +379,7 @@ def test_library_tunable_surface_is_pinned():
     # the tunable count tracked in ROADMAP.md: CLI flags per subcommand
     # plus the library surface above
     flags = sum(len(opts) for opts in OPTIONS.values())
-    assert flags + sum(len(names) for names in LIBRARY_TUNABLES.values()) == 71
+    assert flags + sum(len(names) for names in LIBRARY_TUNABLES.values()) == 69
 
 
 def test_cutoff_flag_is_gone(tmp_path, capsys):

@@ -300,6 +300,27 @@ def test_translated_profile():
         assert np.allclose(q.evaluate(y), p.evaluate(y - dy), atol=1e-12)
 
 
+def test_from_positions_rebuilds_a_profile_from_its_corners():
+    # dyadic corners on a unit period, so moving one by -1 or +1 and
+    # wrapping it back is exact
+    rng = np.random.default_rng(41)
+    for trial in range(40):
+        m = int(rng.integers(1, 7))
+        gaps = np.empty(2 * m)
+        gaps[0::2] = 1 + rng.multinomial(512 - m, np.full(m, 1.0 / m))
+        gaps[1::2] = 1 + rng.multinomial(512 - m, np.full(m, 1.0 / m))
+        lead = int(rng.integers(0, gaps[-1])) if trial % 2 else 0
+        corners = (lead + np.concatenate(([0.0], np.cumsum(gaps[:-1])))) / 1024.0
+        # rising after the first corner, so y = 0 lies on that rise when
+        # the first corner sits at 0 and on the last, falling, segment else
+        p = SawtoothProfile(1.0, float(rng.normal()), 1 if lead == 0 else -1, tuple(corners))
+        assert (p.corners[0] == 0.0) == (lead == 0)
+        order = rng.permutation(2 * m)
+        shifted = corners[order] + rng.integers(-1, 2, size=2 * m)
+        slopes = p.slope_after_corners()[order]
+        assert SawtoothProfile.from_positions(1.0, p.offset, shifted, slopes) == p
+
+
 def test_offset_shift():
     q = W2.with_offset_shift(0.7)
     y = np.linspace(0, 1, 11)

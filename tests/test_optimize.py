@@ -249,6 +249,77 @@ def test_relax_accepts_the_recorded_moves(stations, seed, max_iters):
     assert abs(hist[-1] - total) <= 1e-12 * total
 
 
+# The same for a descent with topology moves: (accepted moves, accepted
+# station-level and column-level topology moves, final total), recorded
+# when each kind of whole-profile move still had its own pricing code.
+RECORDED_TOPOLOGY = (661, 7, 6, 0.21527850524322067)
+
+
+def test_relax_with_topology_accepts_the_recorded_moves(monkeypatch):
+    start = jittered_striped(ModelParams(1.0, 1e-2, 1.0, 1.0), 16, 3, seed=2)
+    kinds = {"station": 0, "column": 0}
+    apply = op._RelaxState.apply
+
+    def recording_apply(self, updates):
+        # a topology move hands out new profiles with a new corner count;
+        # copies and uniform moves hand out profiles already in the state
+        fresh = all(all(p is not q for q in self.profiles) for p in updates.values())
+        recount = any(len(p.corners) != len(self.profiles[j].corners) for j, p in updates.items())
+        if fresh and recount:
+            kinds["station" if len(updates) == 1 else "column"] += 1
+        apply(self, updates)
+
+    monkeypatch.setattr(op._RelaxState, "apply", recording_apply)
+    hist = []
+    op.relax(start, op.RelaxOptions(max_iters=30, topology_moves=True), history=hist)
+    moves, station, column, total = RECORDED_TOPOLOGY
+    assert (len(hist) - 1, kinds["station"], kinds["column"]) == (moves, station, column)
+    assert abs(hist[-1] - total) <= 1e-12 * total
+
+
+def _check_delta(config, updates):
+    """delta matches the change of the whole energy to 1e-12 of its parts."""
+    state = op._RelaxState(config)
+    profiles = list(config.profiles)
+    for j, prof in updates.items():
+        profiles[j] = prof
+    old = total_energy(config)
+    new = total_energy(Configuration(config.params, config.stations, tuple(profiles)))
+    scale = sum(abs(e.austenite) + e.strain + e.surface for e in (old, new))
+    assert abs(state.delta(updates) - (new.total - old.total)) <= 1e-12 * scale, sorted(updates)
+
+
+def test_delta_prices_multi_station_updates():
+    params = ModelParams(1e-2, 1e-3, 1.0, 1.0)
+    m = optimal_even_m(params).m_star[0]
+    rng = np.random.default_rng(11)
+    configs = (
+        jittered_striped(params, m, 6, seed=4),
+        jittered_striped(params, 4, 3, seed=6),
+        Configuration(params, (0.0, 0.3, 1.0), tuple(random_profile(rng) for _ in range(3))),
+    )
+    checked = 0
+    for config in configs:
+        n = len(config.profiles)
+        # column topology candidates: one maker at every station
+        for make in op._TOPOLOGY_MOVES:
+            cands = [make(p) for p in config.profiles]
+            if all(c is not None for c in cands):
+                _check_delta(config, dict(enumerate(cands)))
+                checked += 1
+        # uniform candidates: one station's profile everywhere
+        for prof in config.profiles:
+            _check_delta(config, dict.fromkeys(range(n), prof))
+            checked += 1
+        # a few stations at once, station 0 among them
+        ps = config.profiles
+        _check_delta(config, {0: ps[1], n - 1: ps[0]})
+        _check_delta(config, {0: op._create_tooth(ps[0]), 1: ps[n - 1]})
+        _check_delta(config, {1: ps[0], 2: ps[0]})
+        checked += 3
+    assert checked >= 25
+
+
 def test_column_move_keeps_a_shared_profile_shared(monkeypatch):
     # the sweep's uniform move puts one profile object at every station;
     # the column move after it must shift that object once and hand the
@@ -357,7 +428,7 @@ def _check_probe_prices(config):
     for j, i, d in _pair_cases(state):
         moved = op._shift_pair(state.profiles[j], i, d)
         exact = state.shift_pricer(range(j, j + 1), i)([d])[0]
-        full = state.delta_replace(j, moved)
+        full = state.delta({j: moved})
         norm = l2_distance(moved, state.profiles[j]) ** 2
         scale = abs(state.austenite) + sum(
             state.strain[c] + norm / state.dx[c] for c in cells(j)
@@ -373,7 +444,7 @@ def _check_probe_prices(config):
             _check_one_pass(pricer, [d for jj, ii, d in _pair_cases(state) if (jj, ii) == (j, i)])
     for j in range(n):
         for d in (1e-2 * h, -3e-3 * h):
-            full = state.delta_replace(j, state.profiles[j].with_offset_shift(d))
+            full = state.delta({j: state.profiles[j].with_offset_shift(d)})
             scale = abs(state.austenite) + sum(
                 state.strain[c] + d * d * h / state.dx[c] for c in cells(j)
             )
