@@ -250,18 +250,12 @@ class SawtoothProfile:
 
     def evaluate(self, y) -> np.ndarray | float:
         """u(y), periodic in y.  Accepts scalars or arrays."""
-        yy = np.asarray(y, dtype=float)
-        scalar = yy.ndim == 0
-        yr = np.mod(yy, self.period)
+        yr = np.mod(np.asarray(y, dtype=float), self.period)
         c, vals, s = self._c, self._vals, self._s
-        idx = np.searchsorted(c, yr, side="right") - 1
-        out = np.empty_like(yr)
-        before = idx < 0  # y in [0, corners[0]): segment wrapping through 0
-        out[before] = self.offset + self.initial_slope * yr[before]
-        inside = ~before
-        j = idx[inside]
-        out[inside] = vals[j] + s[j] * (yr[inside] - c[j])
-        return float(out) if scalar else out
+        j = np.searchsorted(c, yr, side="right") - 1
+        # j < 0: y in [0, corners[0]), on the segment wrapping through 0
+        out = np.where(j < 0, self.offset + self.initial_slope * yr, vals[j] + s[j] * (yr - c[j]))
+        return float(out) if out.ndim == 0 else out
 
     def nodes(self) -> tuple[np.ndarray, np.ndarray]:
         """Breakpoints 0 = y_0 < ... < y_n = period and values there.
@@ -439,6 +433,13 @@ def fourier_coefficients(profile: SawtoothProfile, ks: np.ndarray) -> np.ndarray
     return -(phase @ ds) / (h * w**2)
 
 
+def _merged_nodes(p: SawtoothProfile, q: SawtoothProfile) -> np.ndarray:
+    """Node ordinates of p and q, sorted, each once: np.union1d of the two, bit for bit."""
+    ys = np.concatenate((p.nodes()[0], q.nodes()[0]))
+    ys.sort(kind="stable")
+    return ys[np.concatenate(([True], ys[1:] != ys[:-1]))]
+
+
 def l2_distance(p: SawtoothProfile, q: SawtoothProfile) -> float:
     """L2 norm of p - q over one period, exact.
 
@@ -448,7 +449,7 @@ def l2_distance(p: SawtoothProfile, q: SawtoothProfile) -> float:
     """
     if abs(p.period - q.period) > 1e-12 * p.period:
         raise InvariantError("l2_distance requires equal periods")
-    cuts = np.union1d(p.nodes()[0], q.nodes()[0])
+    cuts = _merged_nodes(p, q)
     dv = p.evaluate(cuts) - q.evaluate(cuts)
     va, vb = dv[:-1], dv[1:]
     # exact integral of a linear function squared on each cell

@@ -47,6 +47,7 @@ from .model_core import (
     MERGE_TOL,
     ModelParams,
     SawtoothProfile,
+    _merged_nodes,
     l2_distance,
 )
 from .energy import h_half_sq, pair_sum
@@ -343,32 +344,32 @@ class _RelaxState:
         """Rebuild the moment table of cell c and return its strain."""
         p, q = self.profiles[c], self.profiles[c + 1]
         if p is q:  # a shared profile: e = q - p is exactly +0.0, so is every moment
-            self._write_table(c, (p.nodes()[0],))
+            ys = p.nodes()[0]
+            self._cell_rows(c, len(ys))[0] = ys
             self.mass[c] = 0.0
             return 0.0
-        ys = np.union1d(p.nodes()[0], q.nodes()[0])
+        ys = _merged_nodes(p, q)
         e = q.evaluate(ys) - p.evaluate(ys)
-        dy, ea, eb = np.diff(ys), e[:-1], e[1:]
-        total = float(np.sum(dy * (ea * ea + ea * eb + eb * eb) / 3.0))
-        g6 = np.concatenate(((eb - ea) / dy / 6.0, [0.0]))
-        big_e = np.concatenate(([0.0], np.cumsum(dy * (ea + 3.0 * g6[:-1] * dy))))
-        phi = np.cumsum(dy * (big_e[:-1] + dy * (0.5 * ea + dy * g6[:-1])))
-        self._write_table(c, (ys, np.concatenate(([0.0], phi)), big_e, 0.5 * e, g6))
+        dy, ea, eb = ys[1:] - ys[:-1], e[:-1], e[1:]
+        total = float((dy * (ea * ea + ea * eb + eb * eb) / 3.0).sum())
+        y, phi, big_e, e2, g6 = self._cell_rows(c, len(ys))
+        y[:], e2[:], g6[:-1] = ys, 0.5 * e, (eb - ea) / dy / 6.0
+        np.cumsum(dy * (ea + 3.0 * g6[:-1] * dy), out=big_e[1:])
+        np.cumsum(dy * (big_e[:-1] + dy * (0.5 * ea + dy * g6[:-1])), out=phi[1:])
         self.mass[c] = float(big_e[-1])
         d = math.sqrt(max(total, 0.0))
         return d * d / self.dx[c]
 
-    def _write_table(self, c: int, rows: tuple[np.ndarray, ...]) -> None:
-        """Set the leading rows of cell c's table, growing it to fit; other rows are 0."""
-        k = len(rows[0])
+    def _cell_rows(self, c: int, k: int) -> np.ndarray:
+        """Cell c's rows on its k nodes, zeroed (y = inf past them); the table grows to fit."""
         if k > self.table.shape[2]:
             grown = np.zeros(self.table.shape[:2] + (k,))
             grown[0] = np.inf
             grown[:, :, : self.table.shape[2]] = self.table
             self.table = grown
         self.table[:, c] = 0.0
-        self.table[0, c] = np.inf
-        self.table[: len(rows), c, :k] = rows
+        self.table[0, c, k:] = np.inf
+        return self.table[:, c, :k]
 
     @property
     def total(self) -> float:
@@ -520,8 +521,6 @@ def _shift_pair(prof: SawtoothProfile, i: int, delta: float) -> SawtoothProfile 
     the segment through 0 is then the wrap segment, whose slope becomes
     the initial one.
     """
-    if i + 1 >= len(prof.corners):
-        return None
     lo, hi = _shift_range(prof, i)
     if not (lo < delta < hi):
         return None
@@ -567,8 +566,6 @@ def _annihilate_tooth(prof: SawtoothProfile) -> SawtoothProfile | None:
     rises = np.flatnonzero(slopes > 0)
     i = int(rises[np.argmin(gaps[rises])])
     keep = [j for j in range(len(corners)) if j not in (i, (i + 1) % len(corners))]
-    if len(keep) < 2:
-        return None
     anchor = float(corners[keep[0]])
     new_gaps = np.diff(np.append(corners[keep], corners[keep[0]] + prof.period))
     return _rebuild_from_gaps(prof, anchor, new_gaps, int(slopes[keep[0]]))
@@ -583,11 +580,8 @@ def _resnap_count(prof: SawtoothProfile, new_count: int) -> SawtoothProfile | No
     if new_count < 2 or new_count % 2 != 0:
         return None
     h = prof.period
-    slopes = prof.slope_after_corners()
-    valleys = [c for c, s in zip(prof.corners, slopes) if s > 0]
-    if not valleys:
-        return None
-    pos = valleys[0] + h * np.arange(new_count) / new_count
+    valley = prof.corners[int(np.argmax(prof.slope_after_corners() > 0))]  # the first one
+    pos = valley + h * np.arange(new_count) / new_count
     trial = SawtoothProfile.from_positions(h, 0.0, pos, (-1) ** np.arange(new_count))
     return trial.with_offset_shift(prof.mean() - trial.mean())
 
@@ -601,14 +595,8 @@ def _create_tooth(prof: SawtoothProfile) -> SawtoothProfile | None:
     if f < 8.0 * MERGE_TOL * prof.period:
         return None
     lead = 0.375 * f
-    gap_list: list[float] = []
-    slope0 = int(slopes[0])
-    for j, g in enumerate(gaps):
-        if j == i:
-            gap_list.extend([lead, 0.25 * f, lead])
-        else:
-            gap_list.append(float(g))
-    return _rebuild_from_gaps(prof, prof.corners[0], np.asarray(gap_list), slope0)
+    new_gaps = np.concatenate((gaps[:i], [lead, 0.25 * f, lead], gaps[i + 1:]))
+    return _rebuild_from_gaps(prof, prof.corners[0], new_gaps, int(slopes[0]))
 
 
 # Proposals that change a profile's interface count, tried in this order
@@ -647,6 +635,9 @@ def relax(
     ``_RelaxState``), so a profile is built only for an accepted move;
     stored strains still come from the full-cell integral.  Moves that
     hand whole profiles to stations are priced by ``_RelaxState.delta``.
+    Moves that cannot be accepted are not priced: a copy of a station's
+    own profile, and the pair shifts of a station j > 0 between copies of
+    its own profile.
     """
     state = _RelaxState(start)
     if history is not None:
@@ -723,12 +714,15 @@ def relax(
         accepted = False
         order = range(n) if sweep % 2 == 0 else range(n - 1, -1, -1)
         for j in order:
-            if j > 0:
-                try_move({j: state.profiles[j - 1]})
-            if j < n - 1:
-                try_move({j: state.profiles[j + 1]})
-            for i in range(len(state.profiles[j].corners) - 1):
-                pair_move(j, i)
+            near = [k for k in (j - 1, j + 1) if 0 <= k < n]
+            for k in near:  # a copy of its own profile changes nothing
+                if state.profiles[k] is not state.profiles[j]:
+                    try_move({j: state.profiles[k]})
+            # at j > 0 between copies of its own profile both cells have e = 0:
+            # +-s price the same ||D||^2 / dx > 0, so no pair shift pays
+            if j == 0 or any(state.profiles[k] is not state.profiles[j] for k in near):
+                for i in range(len(state.profiles[j].corners) - 1):
+                    pair_move(j, i)
             s = step(state.profiles[j])
             for d in (s, -s, s / 8.0, -s / 8.0):
                 if state.offset_delta(j, d) < -floor:

@@ -230,6 +230,8 @@ def _corner_values(p):
 
 
 def evaluate_reference(p, y):
+    """u(y) by boolean-mask scatters, the form SawtoothProfile.evaluate had
+    before it took np.where: the same elementwise expressions."""
     yy = np.asarray(y, dtype=float)
     scalar = yy.ndim == 0
     yr = np.mod(yy, p.period)

@@ -487,3 +487,47 @@ def test_reported_malformed_configs_name_their_field(tmp_path, capsys):
         code, out, err = run_cli(capsys, "energy", "--config", str(path))
         assert code == 1 and not out
         assert field in err
+
+
+def _finite_numbers(value) -> bool:
+    if isinstance(value, dict):
+        return all(_finite_numbers(v) for v in value.values())
+    if isinstance(value, list):
+        return all(_finite_numbers(v) for v in value)
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+def test_relax_numeric_flag_fuzz_exits_zero_finite_or_one_naming_the_flag(tmp_path, capsys):
+    """Every value of --max-iters and --tol, in a seeded order: zeros, huge and tiny
+    magnitudes, a subnormal, nan, infinities and non-integer counts, each
+    passed as --flag=value.  Each run ends with exit 0 and only finite
+    numbers in its output, or with exit 1 naming the flag, never a
+    traceback.  No run has a budget of more than three sweeps."""
+    _, cfg = write_striped(tmp_path, stations=3)
+    path = tmp_path / "shifted.json"  # a start that relax moves away from
+    path.write_text(cfg.replace_profile(1, cfg.profiles[1].translated(0.01)).dumps(), encoding="utf-8")
+    extremes = ["0", "-0", "1e300", "-1e300", "1e-300", "-1e-300", "5e-324"]
+    extremes += ["nan", "-nan", "inf", "-inf"]
+    values = {
+        "max-iters": extremes + ["1.5", "2.0", "-1", "0x2", "1", "3"],
+        "tol": extremes + ["1", "0.5e-10", "-1e-10"],
+    }
+    rng = np.random.default_rng(20101118)
+    draws = [(flag, v) for flag, vs in values.items() for v in vs]
+    seen, moved = set(), False
+    for k in rng.permutation(len(draws)):
+        flag, value = draws[k]
+        argv = ["relax", "--config", str(path), f"--{flag}={value}"]
+        if flag == "tol":
+            argv.append(f"--max-iters={int(rng.integers(1, 4))}")
+        code, out, err = run_cli(capsys, *argv)
+        assert "Traceback" not in err, argv
+        if code == 0:
+            payload = json.loads(out, parse_constant=lambda c: math.nan)
+            assert _finite_numbers(payload), argv
+            moved = moved or payload["accepted_moves"] > 0
+        else:
+            assert code == 1 and not out, argv
+            assert flag in err or flag.replace("-", "_") in err, (argv, err)
+        seen.add((flag, code))
+    assert seen == {("max-iters", 0), ("max-iters", 1), ("tol", 0), ("tol", 1)} and moved

@@ -15,6 +15,7 @@ from twinstripe.model_core import (
     SawtoothProfile,
     fourier_coefficient,
     fourier_coefficients,
+    _merged_nodes,
     l2_distance,
     random_profile,
 )
@@ -143,6 +144,39 @@ def test_evaluate_and_nodes_equal_pre_cache_kernel_exactly():
         assert np.array_equal(p.evaluate(np.float64(y[1])), evaluate_reference(p, y[1]))
         ny, nv = p.nodes()
         assert np.array_equal(ny, ys) and np.array_equal(nv, vs)
+
+
+def same_bits(a, b) -> bool:
+    """Equal shape, dtype and bits (so -0.0 differs from 0.0)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_merged_nodes_and_evaluate_equal_union1d_and_the_masked_form():
+    # random pairs, half of them with a corner at 0, plus pairs sharing
+    # corners (an offset shift, a copy) and a profile with itself
+    rng = np.random.default_rng(18)
+    profs = kernel_profiles(n=24, seed=18)
+    pairs = list(zip(profs, profs[1:] + profs[:1]))
+    pairs += [(p, p) for p in profs[:4]]
+    pairs += [(p, p.with_offset_shift(0.1)) for p in profs[4:8]]
+    pairs += [(p, SawtoothProfile(p.period, p.offset, p.initial_slope, p.corners)) for p in profs[8:12]]
+    pairs.append((SawtoothProfile(1.0, 0.0, 1, (-0.0, 0.5)), W2))  # a signed-zero corner first
+    pairs.append((W2, SawtoothProfile(1.0, 0.0, 1, (-0.0, 0.5))))
+    assert any(p.corners[0] == 0.0 and q.corners[0] == 0.0 for p, q in pairs)
+    for p, q in pairs:
+        h = p.period
+        ys = _merged_nodes(p, q)
+        assert same_bits(ys, np.union1d(p.nodes()[0], q.nodes()[0]))
+        y = np.concatenate((ys, rng.random(16) * 4 * h - 2 * h, [-0.0, h, -h, 2.5 * h]))
+        for r in (p, q):
+            assert same_bits(r.evaluate(y), evaluate_reference(r, y))
+            grid = y[: len(y) // 4 * 4].reshape(2, 2, -1)
+            assert same_bits(r.evaluate(grid), evaluate_reference(r, grid))
+            assert same_bits(r.evaluate(y[:0]), evaluate_reference(r, y[:0]))
+            for t in (0.0, -0.0, float(y[-5]), -1.25 * h, 3.0 * h):
+                got = r.evaluate(t)
+                assert type(got) is float and same_bits(got, evaluate_reference(r, t))
 
 
 def partition_at(period, *cuts):

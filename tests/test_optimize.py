@@ -381,6 +381,78 @@ def test_shared_profile_cells_are_free(monkeypatch):
     assert twin.strain == state.strain and twin.mass == state.mass
 
 
+def shared_tail_start(stations=7, seed=5):
+    """Stations 1..n-1 hold one profile object, station 0 a different one."""
+    params = ModelParams(1e-2, 1e-3, 1.0, 1.0)
+    first, rest = jittered_striped(params, optimal_even_m(params).m_star[0], 2, seed=seed).profiles
+    xs = tuple(np.linspace(0.0, 1.0, stations))
+    return Configuration(params, xs, (first,) + (rest,) * (stations - 1))
+
+
+def _between_copies(state, j):
+    """Station j > 0 and every station it shares a cell with hold one profile object."""
+    n = len(state.profiles)
+    return j > 0 and all(state.profiles[k] is state.profiles[j] for k in (j - 1, j + 1) if k < n)
+
+
+def test_relax_prices_no_move_between_copies_of_a_profile(monkeypatch):
+    # at j > 0 between copies of its own profile object both cells have
+    # e = 0: a copy changes nothing and a pair shift only adds strain, so
+    # neither is priced
+    start = shared_tail_start()
+    pricers, deltas, visits, wasted = [], [], [], []
+    shift_pricer, delta, offset_delta = (
+        op._RelaxState.shift_pricer, op._RelaxState.delta, op._RelaxState.offset_delta
+    )
+
+    def counting_pricer(self, js, i):
+        pricers.append(js)
+        if len(js) == 1 and _between_copies(self, js.start):
+            wasted.append(("pair", js.start, i))
+        return shift_pricer(self, js, i)
+
+    def counting_delta(self, updates):
+        deltas.append(len(updates))
+        if len(updates) == 1:
+            ((j, prof),) = updates.items()
+            if prof is self.profiles[j] or _between_copies(self, j):
+                wasted.append(("whole", j))
+        return delta(self, updates)
+
+    def counting_offsets(self, j, d):  # priced at every station visit
+        visits.append(_between_copies(self, j))
+        return offset_delta(self, j, d)
+
+    monkeypatch.setattr(op._RelaxState, "shift_pricer", counting_pricer)
+    monkeypatch.setattr(op._RelaxState, "delta", counting_delta)
+    monkeypatch.setattr(op._RelaxState, "offset_delta", counting_offsets)
+    hist = []
+    op.relax(start, op.RelaxOptions(max_iters=6), history=hist)
+    assert len(hist) > 1 and pricers and deltas
+    assert any(visits)  # the descent did visit stations between copies
+    assert wasted == []
+
+
+def test_a_pair_shift_between_copies_prices_the_same_positive_both_ways():
+    # the premise of skipping those line searches: with both cells at
+    # e = 0, +-s price the same ||D||^2 / dx > 0, at an interior station
+    # and at the last one, for every pair
+    state = op._RelaxState(shared_tail_start())
+    n = len(state.profiles)
+    checked = 0
+    for j in (n // 2, n - 1):
+        assert _between_copies(state, j)
+        prof = state.profiles[j]
+        s = prof.period / (32.0 * len(prof.corners))  # relax's step
+        for i in range(len(prof.corners) - 1):
+            lo, hi = op._shift_range(prof, i)
+            for d in (s, 0.5 * min(hi, -lo), 1e-3 * s):
+                up, down = state.shift_pricer(range(j, j + 1), i)([d, -d])
+                assert up == down > 0.0, (j, i, d)
+                checked += 1
+    assert checked == 2 * 3 * (len(state.profiles[-1].corners) - 1)
+
+
 def trapezoid(prof, i, d, y):
     """new - old for corners i, i+1 of prof shifted by d, at the points y."""
     a = prof.slope_after_corners()[i - 1]
