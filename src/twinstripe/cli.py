@@ -155,7 +155,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     template = ModelParams(
         grid.beta_values[0], grid.epsilon_values[0], args.length, args.height
     )
-    opts = RelaxOptions(max_iters=args.relax_iters, tol_energy=args.relax_tol)
+    try:
+        opts = RelaxOptions(max_iters=args.relax_iters, tol_energy=args.relax_tol)
+    except InvariantError as exc:
+        raise InvariantError(f"--relax-iters, --relax-tol: {exc}") from None
     result = phase_sweep(grid, template, levels_max=args.levels_max, relax_opts=opts)
     if args.format == "csv":
         _write_text(result.to_csv(), args.output)

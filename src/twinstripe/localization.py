@@ -763,6 +763,8 @@ class CertificateReport:
         return max(vals) if vals else None
 
     def to_json(self) -> dict:
+        # a window without mismatch has a NaN ratio; JSON has no NaN, so it is null
+        ratios = [r if math.isfinite(r) else None for r in self.interpolation_ratios]
         return {
             "m": self.m,
             "m_star": self.m_star,
@@ -773,7 +775,7 @@ class CertificateReport:
             "energy_scale": self.energy_scale,
             "intervals": [
                 {**t.to_json(), **e.to_json(), "interpolation_ratio": r}
-                for t, e, r in zip(self.terms, self.errors, self.interpolation_ratios)
+                for t, e, r in zip(self.terms, self.errors, ratios)
             ],
             "sum_f0": self.sum_f0,
             "sum_f1": self.sum_f1,

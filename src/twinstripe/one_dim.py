@@ -90,14 +90,36 @@ def e1d(m: int, params: ModelParams) -> float:
     return b * C0 * h * h / m + eps * L * m
 
 
+def _striped_scales(params: ModelParams) -> tuple[float, float]:
+    """The coefficients beta c0 h^2 and epsilon L of e1d, refused out of float range.
+
+    The first may underflow to 0 (then M* = 2); the second must stay
+    positive, and their ratio M*^2 finite.  O(1): it runs at every sweep point.
+    """
+    b, eps, L, h = params.beta, params.epsilon, params.length_L, params.height_h
+    num, den = b * C0 * h * h, eps * L
+    if not num < math.inf:
+        raise InvariantError(f"beta, height_h: beta c0 h^2 overflows at beta={b!r}, h={h!r}")
+    if not 0.0 < den < math.inf:
+        raise InvariantError(f"epsilon, length_L: epsilon L is {den!r} at eps={eps!r}, L={L!r}")
+    if not num / den < math.inf:
+        raise InvariantError(
+            "beta, epsilon, length_L, height_h: the interface count "
+            f"sqrt(beta c0 h^2 / (epsilon L)) overflows at {params}"
+        )
+    return num, den
+
+
 def optimal_even_m(params: ModelParams) -> OneDimResult:
     """Minimize e1d over even m, reporting every exact minimizer."""
-    b, eps, L, h = params.beta, params.epsilon, params.length_L, params.height_h
-    m_cont = math.sqrt(b * C0 * h * h / (eps * L))
+    num, den = _striped_scales(params)
+    m_cont = math.sqrt(num / den)
     base = max(2, 2 * int(m_cont // 2))
     candidates = sorted({max(2, base + d) for d in (-4, -2, 0, 2, 4)})
     values = [e1d(m, params) for m in candidates]
     best = min(values)
+    if not best < math.inf:
+        raise InvariantError(f"beta, epsilon, length_L, height_h: e1d overflows at {params}")
     winners = tuple(m for m, v in zip(candidates, values) if v <= best * (1 + 1e-12))
     return OneDimResult(m_star=winners, energy=best, m_continuous=m_cont)
 

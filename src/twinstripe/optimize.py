@@ -36,6 +36,7 @@ and slopes stay +-1 because only corner ordinates ever change.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,6 +200,11 @@ def _branched_layout(
             f"more than the {MAX_BUILD_CORNERS} a built layout may carry"
         )
     h, L = params.height_h, params.length_L
+    # below the normal floats, corners and stations lose their relative precision
+    if not h >= sys.float_info.min:
+        raise InvariantError(f"height_h: a built layout needs a normal float period, got {h!r}")
+    if not L * BAND_THETA**levels >= sys.float_info.min:
+        raise InvariantError(f"length_L: the innermost band edge underflows at L={L!r}")
     if levels == 0:
         prof = _equispaced(m0, h)
         return (0.0, L), (prof, prof)
@@ -213,6 +219,20 @@ def _branched_layout(
             xs.append(x_out - t * (x_out - x_in))
             profs.append(_doubling_profile(q, t, h))
     return tuple(xs), tuple(profs)
+
+
+def _branched_scales(params: ModelParams) -> None:
+    """Refuse parameters whose branched closed form overflows: the austenite
+    term scales as beta h^2 and a band's strain as h^3 / L.  O(1)."""
+    h, L = params.height_h, params.length_L
+    if not params.beta * C0 * h * h < math.inf:
+        raise InvariantError(f"beta, height_h: beta c0 h^2 overflows at {params}")
+    try:
+        strain = h**3 / L
+    except OverflowError:
+        strain = math.inf
+    if not strain < math.inf:
+        raise InvariantError(f"height_h, length_L: the band strain h^3 / L overflows at {params}")
 
 
 def _branched_parts(params: ModelParams, levels: int, m0):
@@ -263,6 +283,7 @@ def branched_candidate(params: ModelParams, levels: int, m0: int | None = None) 
     """
     if not isinstance(levels, (int, np.integer)) or levels < 0:
         raise InvariantError(f"levels must be a nonnegative integer, got {levels!r}")
+    _branched_scales(params)
     if m0 is None:
         m0 = _best_m0(params, levels)
     elif m0 < 2 or m0 % 2 != 0:
@@ -818,6 +839,7 @@ def _best_branched(params: ModelParams, levels_max: int) -> float:
     m0 even up to MAX_COARSE_COUNT; nothing is built.  Levels beyond the
     deepest one the merge tolerance admits are never searched.
     """
+    _branched_scales(params)
     picks = [(lv, _best_m0(params, lv)) for lv in range(1, min(levels_max, _DEEPEST) + 1)]
     if not picks:
         raise InvariantError("no admissible branched state below levels_max")
@@ -889,10 +911,13 @@ def phase_sweep(
     for r in rows:
         unit_s = math.sqrt(r.epsilon * r.beta / L) * area
         unit_b = (r.epsilon / L) ** (2.0 / 3.0) * area
-        if unit_s == 0.0 or unit_b == 0.0:
-            raise InvariantError(f"betas, epsilons: units underflow at {r.beta!r}, {r.epsilon!r}")
-        c_s = max(c_s, r.e_striped / unit_s)
-        c_b = max(c_b, r.e_branched / unit_b)
         best = min(v for v in (r.e_striped, r.e_branched, r.e_relaxed) if v is not None)
-        c_low = min(c_low, best / min(unit_s, unit_b))
+        pairs = zip((r.e_striped, r.e_branched, best), (unit_s, unit_b, min(unit_s, unit_b)))
+        scaled = [e / u if u else math.inf for e, u in pairs]
+        if not all(v < math.inf for v in scaled):
+            raise InvariantError(
+                f"betas, epsilons, length_L, height_h: energies over their units leave the "
+                f"float range at {r.beta!r}, {r.epsilon!r} with L={L!r}, h={h!r}"
+            )
+        c_s, c_b, c_low = max(c_s, scaled[0]), max(c_b, scaled[1]), min(c_low, scaled[2])
     return SweepResult(tuple(rows), c_s, c_b, c_low)

@@ -167,7 +167,7 @@ def bump_alpha_energy(va: float, vb: float, width: float, nodes: int = 1025) -> 
     mean = 0.5 * (va + vb)
     slope = (vb - va) / width
     return alpha_integral(
-        lambda al: cb._span_mismatch(*span, al)[0],
+        lambda al: cb._evaluate([cb._span_mismatch(*span)], al)[0][0],
         width,
         4.0 * u2 - 4.0 * width * mean * mean,
         4.0 * width * slope * slope,

@@ -404,3 +404,34 @@ def test_verify_suite_blocks_match_one_block(monkeypatch):
     for entries in (1, 100):
         monkeypatch.setattr(cb, "_BLOCK_ENTRIES", entries)
         assert cb.verify_suite(trials=40, seed=3, alphas=(0.1, 1.0, 10.0)) == whole
+
+
+def test_verify_suite_block_makes_one_call_per_kernel(monkeypatch):
+    """A block prices all of its families in one screened and one periodic
+    kernel call; the periodic kernel's own call with tables is not counted."""
+    calls = []
+    screened, periodic = cb._screened_groups, cb._periodic_cross_groups
+
+    def count_screened(cells, starts, alphas, tables=None):
+        if tables is None:
+            calls.append("screened")
+        return screened(cells, starts, alphas, tables)
+
+    def count_periodic(*args):
+        calls.append("periodic")
+        return periodic(*args)
+
+    monkeypatch.setattr(cb, "_screened_groups", count_screened)
+    monkeypatch.setattr(cb, "_periodic_cross_groups", count_periodic)
+    cb.verify_suite(trials=3, seed=0)
+    assert sorted(calls) == ["periodic", "screened"]
+    # one case per block: rp has no periods, master no plain lines
+    calls.clear()
+    monkeypatch.setattr(cb, "_BLOCK_ENTRIES", 1)
+    cb.verify_suite(trials=2, seed=0)
+    assert calls.count("screened") == 4 and calls.count("periodic") == 4
+
+
+def test_verify_suite_rejects_a_negative_seed():
+    with pytest.raises(InvariantError, match="seed"):
+        cb.verify_suite(trials=1, seed=-1)

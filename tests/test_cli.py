@@ -10,6 +10,7 @@ import math
 import pkgutil
 
 import numpy as np
+import pytest
 
 import twinstripe
 from twinstripe import cli
@@ -497,37 +498,113 @@ def _finite_numbers(value) -> bool:
     return not isinstance(value, float) or math.isfinite(value)
 
 
+# zeros, huge and tiny magnitudes, a subnormal, nan and infinities
+EXTREMES = ["0", "-0", "1e300", "-1e300", "1e-300", "-1e-300", "5e-324"]
+EXTREMES += ["nan", "-nan", "inf", "-inf"]
+
+
+def fuzz_numeric_flags(capsys, argv, values, seed, extra=lambda flag, rng: []):
+    """Run argv plus --flag=value for every value of every flag, in a seeded order.
+
+    extra(flag, rng) gives more arguments for a run.  Each run ends with
+    exit 0 and only finite numbers in its JSON output, or with exit 1
+    naming the flag, never a traceback.  Returns the set of (flag, exit
+    status) seen and the payloads of the runs that succeeded.
+    """
+    rng = np.random.default_rng(seed)
+    draws = [(flag, v) for flag, vs in values.items() for v in vs]
+    seen, payloads = set(), []
+    for k in rng.permutation(len(draws)):
+        flag, value = draws[k]
+        args = [*argv, f"--{flag}={value}", *extra(flag, rng)]
+        code, out, err = run_cli(capsys, *args)
+        assert "Traceback" not in err, args
+        if code == 0:
+            payload = json.loads(out, parse_constant=lambda c: math.nan)
+            assert _finite_numbers(payload), args
+            payloads.append(payload)
+        else:
+            assert code == 1 and not out, args
+            assert flag in err or flag.replace("-", "_") in err, (args, err)
+        seen.add((flag, code))
+    return seen, payloads
+
+
 def test_relax_numeric_flag_fuzz_exits_zero_finite_or_one_naming_the_flag(tmp_path, capsys):
-    """Every value of --max-iters and --tol, in a seeded order: zeros, huge and tiny
-    magnitudes, a subnormal, nan, infinities and non-integer counts, each
-    passed as --flag=value.  Each run ends with exit 0 and only finite
-    numbers in its output, or with exit 1 naming the flag, never a
-    traceback.  No run has a budget of more than three sweeps."""
+    """Every value of --max-iters and --tol (fuzz_numeric_flags), non-integer
+    counts too.  No run has a budget of more than three sweeps."""
     _, cfg = write_striped(tmp_path, stations=3)
     path = tmp_path / "shifted.json"  # a start that relax moves away from
     path.write_text(cfg.replace_profile(1, cfg.profiles[1].translated(0.01)).dumps(), encoding="utf-8")
-    extremes = ["0", "-0", "1e300", "-1e300", "1e-300", "-1e-300", "5e-324"]
-    extremes += ["nan", "-nan", "inf", "-inf"]
     values = {
-        "max-iters": extremes + ["1.5", "2.0", "-1", "0x2", "1", "3"],
-        "tol": extremes + ["1", "0.5e-10", "-1e-10"],
+        "max-iters": EXTREMES + ["1.5", "2.0", "-1", "0x2", "1", "3"],
+        "tol": EXTREMES + ["1", "0.5e-10", "-1e-10"],
     }
-    rng = np.random.default_rng(20101118)
-    draws = [(flag, v) for flag, vs in values.items() for v in vs]
-    seen, moved = set(), False
-    for k in rng.permutation(len(draws)):
-        flag, value = draws[k]
-        argv = ["relax", "--config", str(path), f"--{flag}={value}"]
-        if flag == "tol":
-            argv.append(f"--max-iters={int(rng.integers(1, 4))}")
-        code, out, err = run_cli(capsys, *argv)
-        assert "Traceback" not in err, argv
-        if code == 0:
-            payload = json.loads(out, parse_constant=lambda c: math.nan)
-            assert _finite_numbers(payload), argv
-            moved = moved or payload["accepted_moves"] > 0
-        else:
-            assert code == 1 and not out, argv
-            assert flag in err or flag.replace("-", "_") in err, (argv, err)
-        seen.add((flag, code))
-    assert seen == {("max-iters", 0), ("max-iters", 1), ("tol", 0), ("tol", 1)} and moved
+
+    def budget(flag, rng):
+        return [f"--max-iters={int(rng.integers(1, 4))}"] if flag == "tol" else []
+
+    seen, payloads = fuzz_numeric_flags(
+        capsys, ["relax", "--config", str(path)], values, 20101118, budget
+    )
+    assert seen == {("max-iters", 0), ("max-iters", 1), ("tol", 0), ("tol", 1)}
+    assert any(payload["accepted_moves"] > 0 for payload in payloads)
+
+
+# Counts and levels take only values refused before any work or at most 3.
+COUNTS = ["-1", "0", "1", "2", "3", "1.5", "nan", "1e300", "0x2"]
+MODEL_FLAGS = {
+    "beta": EXTREMES + ["0.1", "1e-3"],
+    "epsilon": EXTREMES + ["1e-3", "1e-5"],
+    "length": EXTREMES + ["2", "0.5"],
+    "height": EXTREMES + ["2", "0.5", "1e103"],
+}
+
+
+@pytest.mark.parametrize(
+    "argv, values",
+    [
+        (["optimal-stripes", "--beta", "0.1", "--epsilon", "1e-3"], MODEL_FLAGS),
+        (
+            ["branched", "--beta", "0.1", "--epsilon", "1e-3", "--levels", "1"],
+            {**MODEL_FLAGS, "m0": COUNTS + ["-2", "4", "1024", "2e3"], "levels": COUNTS},
+        ),
+        (
+            ["sweep", "--betas", "0.1", "--epsilons", "1e-3", "--format", "json"],
+            {
+                "length": MODEL_FLAGS["length"],
+                "height": MODEL_FLAGS["height"],
+                "relax-tol": EXTREMES + ["1e-10"],
+                "levels-max": COUNTS,
+                "relax-iters": COUNTS,
+            },
+        ),
+        (
+            ["verify-chessboard", "--trials", "1"],
+            {"seed": COUNTS + ["-7", str(2**64)], "trials": COUNTS},
+        ),
+        (["certify"], {"eta": EXTREMES + ["0.5", "2"], "kappa": EXTREMES + ["0.5", "2"]}),
+    ],
+    ids=["optimal-stripes", "branched", "sweep", "verify-chessboard", "certify"],
+)
+def test_numeric_flag_fuzz_exits_zero_finite_or_one_naming_the_flag(tmp_path, capsys, argv, values):
+    """Every numeric flag of every subcommand but relax and energy
+    (fuzz_numeric_flags); the model flags override the base ones."""
+    if argv == ["certify"]:
+        argv = ["certify", "--config", str(write_striped(tmp_path, beta=1e-3, epsilon=1e-5)[0])]
+    seen, _ = fuzz_numeric_flags(capsys, argv, values, 20101119)
+    assert seen == {(flag, code) for flag in values for code in (0, 1)}
+
+
+def test_certify_output_is_strict_json(tmp_path, capsys):
+    """A trace window without mismatch has no interpolation ratio: it is
+    written as null, not as a bare NaN token."""
+    path, _ = write_striped(tmp_path, beta=1e-3, epsilon=1e-5, stations=5)
+    code, out, _ = run_cli(capsys, "certify", "--config", str(path))
+    assert code == 0
+
+    def refuse(token):
+        raise ValueError(f"non-finite token {token}")
+
+    payload = json.loads(out, parse_constant=refuse)
+    assert None in [entry["interpolation_ratio"] for entry in payload["intervals"]]
