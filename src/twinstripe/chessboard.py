@@ -234,10 +234,7 @@ def _screened_groups(cells: np.ndarray, starts, alphas: np.ndarray, tables=None)
     left to right; one step advances the groups still running, longest
     first, at every alpha, so the loop runs over positions up to the
     longest group, never over groups, and holds at most one column per cell.
-    The diagonal terms are summed per group as np.sum adds them
-    (_group_sums), or left to right when tables are given: the periodic
-    kernel passes its tables and has always summed its periods that
-    way, which keeps its results bit for bit.
+    The diagonal terms are summed left to right in the same loop.
     """
     starts = np.asarray(starts, dtype=np.intp)
     n = cells.shape[0]
@@ -255,7 +252,6 @@ def _screened_groups(cells: np.ndarray, starts, alphas: np.ndarray, tables=None)
     b = cells[:, 1]
     if np.any(inner & (a[1:] - b[:-1] < -_OVERLAP_TOL)):
         raise InvariantError("cells must not overlap")
-    left_to_right = tables is not None
     if tables is None:
         tables = _cell_tables(cells, alphas)
     L, R, diag = tables
@@ -270,16 +266,12 @@ def _screened_groups(cells: np.ndarray, starts, alphas: np.ndarray, tables=None)
     prev = starts[rank][np.arange(live.sum()) - np.repeat(offsets, live)]
     prev += np.repeat(np.arange(live.size), live)
     decay_at, feed_at, right_at = decay[:, prev], feed[:, prev], R[:, prev + 1]
-    if left_to_right:
-        total, diag_at = diag[:, starts[rank]], diag[:, prev + 1]
-    else:
-        total = _group_sums(diag, starts)[:, rank]
+    total, diag_at = diag[:, starts[rank]], diag[:, prev + 1]
     carry, cross = np.zeros((2, alphas.size, starts.size))
     for lo, k in zip(offsets, live):
         carry[:, :k] = carry[:, :k] * decay_at[:, lo : lo + k] + feed_at[:, lo : lo + k]
         cross[:, :k] += carry[:, :k] * right_at[:, lo : lo + k]
-        if left_to_right:
-            total[:, :k] += diag_at[:, lo : lo + k]
+        total[:, :k] += diag_at[:, lo : lo + k]
     return -(total + 2.0 * cross)[:, np.argsort(rank)].T
 
 
@@ -546,19 +538,17 @@ def _master_layout(profiles) -> tuple:
     return whole + bump_parts, finish
 
 
-def check_master_inequality(
-    profile: SawtoothProfile, alphas=(0.1, 1.0, 10.0), integrate: bool = True
-) -> MasterReport:
+def check_master_inequality(profile: SawtoothProfile, alphas=(0.1, 1.0, 10.0)) -> MasterReport:
     """Mismatch of the whole profile vs. the sum over its spans.
 
     For each alpha the whole-profile mismatch must dominate the sum of
     the per-span mismatches taken with reflection extensions; the two
     agree exactly for equispaced profiles, whose reflections reproduce
-    the profile.  With integrate=True the alpha-integrated version is
-    reported too.  By the kernel identity it is in closed form: the
-    whole-profile side is h_half_sq(profile) and a span from va to vb
-    gives c0 (vb - va)^2, so it reads h_half_sq >= c0 sum (vb - va)^2,
-    the striped lower bound of one_dim.lower_bound_decomposition.
+    the profile.  The alpha-integrated version is reported too.  By the
+    kernel identity it is in closed form: the whole-profile side is
+    h_half_sq(profile) and a span from va to vb gives c0 (vb - va)^2, so
+    it reads h_half_sq >= c0 sum (vb - va)^2, the striped lower bound of
+    one_dim.lower_bound_decomposition.
     """
     al = _check_alphas(alphas)
     prof = _anchor_at_corner(profile)
@@ -566,12 +556,8 @@ def check_master_inequality(
     va, vb, gaps = _spans(prof)
     slack = lhs - rhs
     scale = max(1.0, float(np.max(np.abs(lhs))))
-    ok = bool(np.min(slack) >= -1e-9 * scale)
-    int_lhs = int_rhs = math.nan
-    if integrate:
-        int_lhs = h_half_sq(profile)
-        int_rhs = C0 * float(np.sum((vb - va) ** 2))
-        ok = ok and int_lhs >= int_rhs - 1e-9 * max(1.0, abs(int_lhs))
+    int_lhs, int_rhs = h_half_sq(profile), C0 * float(np.sum((vb - va) ** 2))
+    ok = bool(np.min(slack) >= -1e-9 * scale) and int_lhs >= int_rhs - 1e-9 * max(1.0, abs(int_lhs))
     return MasterReport(
         alphas=tuple(map(float, al)), lhs=tuple(map(float, lhs)), rhs=tuple(map(float, rhs)),
         slack=tuple(map(float, slack)), min_slack=float(np.min(slack)), integrated_lhs=int_lhs,

@@ -29,7 +29,6 @@ from functools import cached_property
 import numpy as np
 
 from .energy import (
-    _BLOCK_ENTRIES,
     _clausen2,
     _clausen3_less_zeta3,
     h_half_inner,
@@ -82,29 +81,45 @@ BMO_SAMPLES = 2048
 # below 1e-14 and genuine ones above 1e-4.
 MATCH_FLOOR = 1e-12
 
+# Most entries in one (points x corners) block of a corner-kernel sum, 256 KB;
+# chosen by timing certify's samples of H w' at m = 4-14 and at m = 412.
+_KERNEL_BLOCK_ENTRIES = 2**15
+
 
 # -- Hilbert transform --------------------------------------------------------
+
+
+def _corner_sums(profile: SawtoothProfile, y: np.ndarray, kernel) -> list[np.ndarray]:
+    """sum_j 4 s_j k(y - z_j) over the corners z_j and slopes s_j, per kernel output k.
+
+    kernel maps a (points x corners) block of y - z_j to a tuple of arrays;
+    the 1-D points y go a block at a time, so memory stays bounded in len(y).
+    """
+    z = np.asarray(profile.corners)
+    weights = 4.0 * profile.slope_after_corners()
+    step = max(1, _KERNEL_BLOCK_ENTRIES // len(z))
+    blocks = [
+        [k @ weights for k in kernel(np.subtract.outer(y[lo : lo + step], z))]
+        for lo in range(0, max(1, len(y)), step)  # no points: one empty block
+    ]
+    return [np.concatenate(sums) for sums in zip(*blocks)]
 
 
 def hilbert_slope_exact(profile: SawtoothProfile, y) -> np.ndarray | float:
     """H applied to the slope profile w', in closed form.
 
-    w'' is a sum of point masses (slope jumps of +-2 at the corners),
+    w'' is a sum of point masses (slope jumps of 2 s_j at the corners z_j),
     and the Hilbert kernel integrates against a step function to a log:
 
-        (H w')(y) = 2 sum_j jump_j * log|2 sin(pi (y - z_j) / h)|.
+        (H w')(y) = 4 sum_j s_j * log|2 sin(pi (y - z_j) / h)|.
 
     Exact up to roundoff away from the corners; diverges (to -inf in
-    floating point) at the corners themselves.
+    floating point) at the corners.  Points of any shape go in blocks.
     """
-    yy = np.asarray(y, dtype=float)
-    scalar = yy.ndim == 0
-    h = profile.period
-    z = np.asarray(profile.corners)
-    jumps = 2.0 * profile.slope_after_corners()
-    args = np.pi * (yy.reshape(-1)[:, None] - z[None, :]) / h
-    out = 2.0 * (np.log(np.abs(2.0 * np.sin(args))) @ jumps)
-    return float(out[0]) if scalar else out.reshape(yy.shape)
+    yy, h = np.asarray(y, dtype=float), profile.period
+    (out,) = _corner_sums(
+        profile, yy.ravel(), lambda d: (np.log(np.abs(2.0 * np.sin(np.pi * d / h))),))
+    return float(out[0]) if yy.ndim == 0 else out.reshape(yy.shape)
 
 
 def bmo_seminorm(
@@ -212,32 +227,15 @@ def build_partition(u1: SawtoothProfile) -> IntervalPartition:
     if m < 4:
         raise InvariantError("partition needs a profile with at least 4 corners")
     h = u1.period
-    corners = np.asarray(u1.corners)
-    slopes = u1.slope_after_corners()
-    valley_idx = np.flatnonzero(slopes > 0)
-    vs = corners[valley_idx]
-    # partner peak: the next corner cyclically (slopes alternate)
-    peak_pos = np.where(valley_idx + 1 < m, valley_idx + 1, 0)
-    ps = corners[peak_pos] + np.where(valley_idx + 1 < m, 0.0, h)
-    mids = (vs + ps) / 2.0
-    half_up = (ps - vs) / 2.0
-    wrapped = np.mod(mids, h)
-    order = np.argsort(wrapped)
-    mids = wrapped[order]
-    half_up = half_up[order]
-    vs = mids - half_up
-    ps = mids + half_up
-    next_valley = np.append(vs[1:], vs[0] + h)
-    dms = (ps + next_valley) / 2.0
-    asc = ps - vs
-    desc = next_valley - ps
-    if np.any(desc <= 0) or np.any(asc <= 0):
-        raise InvariantError("partition construction produced a non-alternating profile")
-    part = IntervalPartition(h, mids, dms, asc, desc)
-    widths = part.widths
-    if abs(float(np.sum(widths)) - h) > 1e-9 * h:
-        raise InvariantError("partition widths do not tile the period")
-    return part
+    rise = np.flatnonzero(u1.slope_after_corners() > 0)  # slopes alternate
+    gaps = u1._gaps()
+    asc, desc = gaps[rise], gaps[(rise + 1) % m]
+    mids = np.asarray(u1.corners)[rise] + asc / 2.0
+    # only the last rising segment can run past h; when its midpoint does, it leads
+    wrap = int(mids[-1] >= h)
+    mids[-1] -= wrap * h
+    mids, asc, desc = (np.roll(x, wrap) for x in (mids, asc, desc))
+    return IntervalPartition(h, mids, mids + asc / 2.0 + desc / 2.0, asc, desc)
 
 
 def _partition_grid(
@@ -389,8 +387,6 @@ class LocalTerms:
     f1: float
     f2: float
     itype: int
-    max_width_window: float
-    min_gap_window: float
 
     @property
     def total(self) -> float:
@@ -545,7 +541,7 @@ def _classify(
     itype = np.select([max_w > 6.0 / m, f1 > eta / m**3, min_gap < kappa / m], [4, 3, 2], 1)
     return [
         LocalTerms(k, *part.interval(k), float(widths[k]), float(f0[k]), float(f1[k]),
-                   float(f2[k]), int(itype[k]), float(max_w[k]), float(min_gap[k]))
+                   float(f2[k]), int(itype[k]))
         for k in range(part.count)
     ]
 
@@ -620,25 +616,20 @@ def _interval_pairings(
 
         -(h / 2 pi) [d A]_a^b - sigma (h / 2 pi)^2 [B]_a^b,
 
-    A = 4 sum_j s_j Cl_2(theta_j), B = 4 sum_j s_j (Cl_3 - zeta(3))(theta_j).
-    Grid rows are taken a block at a time, so memory stays bounded.
+    A = 4 sum_j s_j Cl_2(theta_j), B = 4 sum_j s_j (Cl_3 - zeta(3))(theta_j),
+    both summed over the grid in blocks (_corner_sums).
     """
     h = part.period
     ys, d, starts = _merged_grid(u0, w, part) if grid is None else grid
     mid = 0.5 * (ys[:-1] + ys[1:])
     sigma = _slope_at(u0, mid) - _slope_at(w, mid)
-    z = np.asarray(w.corners)
-    weights = 4.0 * w.slope_after_corners()
-    cl2 = np.empty(len(ys))
-    cl3 = np.empty(len(ys))
-    step = max(1, _BLOCK_ENTRIES // len(z))
-    for lo in range(0, len(ys), step):
-        block = slice(lo, lo + step)
-        e = np.subtract.outer(ys[block], z)
+
+    def clausen(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         e -= h * np.rint(e / h)  # signed distance to the nearest image of each corner
         theta = (2.0 * np.pi / h) * e
-        cl2[block] = _clausen2(theta) @ weights
-        cl3[block] = _clausen3_less_zeta3(np.abs(theta)) @ weights
+        return _clausen2(theta), _clausen3_less_zeta3(np.abs(theta))
+
+    cl2, cl3 = _corner_sums(w, ys, clausen)
     scale = h / (2.0 * np.pi)
     pieces = -scale * np.diff(d * cl2) - scale * scale * sigma * np.diff(cl3)
     return np.add.reduceat(pieces, starts)
@@ -656,7 +647,8 @@ def local_error_terms(
     constant of the chain |2 pairing| <= cbar * H^{1/2} ||u0 - w||, zero
     on matched intervals (mismatch at most MATCH_FLOOR).  All K
     mismatches and pairings come from one merged grid of u0 and w, and
-    the K windows' samples of H w' are scanned in one bmo_seminorm call.
+    the K windows' samples of H w' come from one hilbert_slope_exact call
+    and are scanned in one bmo_seminorm call.
     """
     return _error_terms(u0, w, part)[0]
 
@@ -669,13 +661,9 @@ def _error_terms(
     grid = _merged_grid(u0, wp, part)
     pairings = _interval_pairings(wp, u0, part, grid)
     dists = np.sqrt(_interval_l2_sq(u0, wp, part, grid))
-    bnd = part.boundaries
-    offsets = np.arange(BMO_SAMPLES) + 0.5
-    samples = np.empty((part.count, BMO_SAMPLES))
-    for k in range(part.count):
-        step = (bnd[k + 1] - bnd[k]) / BMO_SAMPLES
-        samples[k] = hilbert_slope_exact(wp, bnd[k] + offsets * step)
-    bmos = bmo_seminorm(samples)
+    # BMO_SAMPLES cell midpoints on each interval, all K windows in one call
+    cells = (np.arange(BMO_SAMPLES) + 0.5) * (part.widths / BMO_SAMPLES)[:, None]
+    bmos = bmo_seminorm(hilbert_slope_exact(wp, part.boundaries[:-1, None] + cells))
     errs = np.sqrt(part.widths) * dists
     matched = dists <= MATCH_FLOOR
     cbars = np.divide(2.0 * np.abs(pairings), errs, out=np.zeros_like(errs), where=~matched)

@@ -870,8 +870,9 @@ def _sweep_point(
             start = branched_candidate(p, 1)
         else:
             start = striped_candidate(p, stations=16)
-        e_relaxed = _RelaxState(relax(start, relax_opts)).total
-        entries["relaxed"] = e_relaxed
+        ledger: list[float] = []
+        relax(start, relax_opts, ledger)
+        e_relaxed = entries["relaxed"] = ledger[-1]
     best = min(entries.values())
     winners = [name for name, v in entries.items() if v == best]
     winner = winners[0] if len(winners) == 1 else "degenerate"

@@ -136,12 +136,12 @@ def test_05_reflection_bound_suite_and_master_equality():
     rand_min = math.inf
     for _ in range(200):
         prof = random_profile(rng, 1.0, max_teeth=16)
-        rep = check_master_inequality(prof, integrate=False)
+        rep = check_master_inequality(prof)
         scale = max(1.0, max(abs(v) for v in rep.lhs))
         rand_min = min(rand_min, rep.min_slack / scale)
     eq_worst = 0.0
     for m in (2, 4, 8, 16):
-        rep = check_master_inequality(make_w_m(m, UNIT), integrate=False)
+        rep = check_master_inequality(make_w_m(m, UNIT))
         eq_worst = max(eq_worst, max(abs(v) for v in rep.slack))
     ok = (
         rp_min >= -1e-9

@@ -116,6 +116,20 @@ def test_hilbert_signal_memory_bounded_in_point_count():
     assert peak < 16e6
 
 
+def test_hilbert_slope_exact_memory_bounded_in_point_count():
+    # unblocked, 8192 points x 1024 corners would hold 64 MB per array
+    prof = make_w_m(1024, UNIT)
+    ys = (np.arange(8192) + 0.25) / 8192
+    tracemalloc.start()
+    try:
+        out = loc.hilbert_slope_exact(prof, ys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(out))
+    assert peak < 16e6
+
+
 def test_slope_transform_closed_form_tracks_spectral_series():
     # the log form is exact; the truncated series drifts toward it like 1/K
     rng = np.random.default_rng(3)
@@ -175,11 +189,19 @@ def test_interval_pairings_blocks_match_single_block(monkeypatch):
     u0 = random_profile(rng, 1.0, 7)
     part = loc.build_partition(random_profile(rng, 1.0, 5))
     w = loc.build_comparison(u0, part).profile
-    monkeypatch.setattr(loc, "_BLOCK_ENTRIES", 2**40)
+    ys = rng.uniform(0.0, 1.0, 50)
+    monkeypatch.setattr(loc, "_KERNEL_BLOCK_ENTRIES", 2**40)
     whole = loc._interval_pairings(w, u0, part)
+    hilbert = loc.hilbert_slope_exact(w, ys)
     for rows in (1, 2, 7):
-        monkeypatch.setattr(loc, "_BLOCK_ENTRIES", rows * len(w.corners))
+        monkeypatch.setattr(loc, "_KERNEL_BLOCK_ENTRIES", rows * len(w.corners))
+        sizes = []
+        loc._corner_sums(w, ys, lambda d: sizes.append(len(d)) or (d,))
+        assert max(sizes) == rows and sum(sizes) == len(ys)
         assert np.max(np.abs(loc._interval_pairings(w, u0, part) - whole)) <= 1e-15
+        # a row's place in a BLAS block can move its last bit
+        moved = np.max(np.abs(loc.hilbert_slope_exact(w, ys) - hilbert))
+        assert moved <= 1e-15 * np.max(np.abs(hilbert))
 
 
 def test_partition_boundaries_are_built_once(monkeypatch):
@@ -335,16 +357,33 @@ def test_partition_rejects_single_tooth():
 
 def test_partition_intervals_hold_one_falling_pair():
     rng = np.random.default_rng(41)
-    for _ in range(50):
-        u1 = random_profile(rng, 1.0, int(rng.integers(2, 9)))
+    profiles = [random_profile(rng, 1.0, int(rng.integers(2, 9))) for _ in range(50)]
+    # a rising segment through y = 0 with its midpoint past the period and
+    # before it, a peak and a valley at y = 0
+    profiles += [
+        SawtoothProfile(1.0, 0.0, slope, corners)
+        for slope, corners in ((1, (0.2, 0.4, 0.6, 0.9)), (1, (0.1, 0.3, 0.4, 0.7)),
+                               (-1, (0.0, 0.2, 0.6, 0.9)), (1, (0.0, 0.3, 0.5, 0.7)))
+    ]
+    # the same for random profiles: their first valley moved to y = 0 or
+    # to 0.3 or 0.7 of its rise before y = 0
+    for u in profiles[:10]:
+        first = np.flatnonzero(u.slope_after_corners() > 0)[0]
+        rise = u._gaps()[first]
+        profiles += [u.translated(-(u.corners[first] + f * rise)) for f in (0.0, 0.3, 0.7)]
+    for u1 in profiles:
         part = loc.build_partition(u1)
         corners = np.asarray(u1.corners)
         assert abs(part.widths.sum() - 1.0) < 1e-9 * 1.0
+        # the midpoints rise inside one period, as the intervals are indexed
+        assert 0.0 <= part.midpoints[0] and part.midpoints[-1] < 1.0
+        assert np.all(part.widths > 0)
         n = part.count
         for k in range(n):
             lo, hi = part.interval(k)
             inside = np.mod(corners - lo, 1.0) < (hi - lo)
             assert inside.sum() == 2
+            assert lo < part.descent_mid[k] < hi
             # width equals half the flanking rises plus the enclosed fall
             expect = (
                 part.ascent_gaps[k] / 2.0
@@ -733,6 +772,21 @@ def test_certificate_prices_the_comparison_mismatch_once(monkeypatch):
     widths = part.widths.tolist()
     want = tuple(n / (w * d ** (1.0 / 3.0)) for n, d, w in zip(nums, dens, widths))
     assert report.interpolation_ratios == want
+
+
+def test_certificate_samples_all_windows_in_one_call(monkeypatch):
+    calls = []
+    sample = loc.hilbert_slope_exact
+
+    def counting_sample(profile, y):
+        calls.append(np.shape(y))
+        return sample(profile, y)
+
+    monkeypatch.setattr(loc, "hilbert_slope_exact", counting_sample)
+    rng = np.random.default_rng(5)
+    config = two_station_config(random_profile(rng, 1.0, 3), random_profile(rng, 1.0, 4), 0.5, 0.1)
+    report = loc.certificate_check(config)
+    assert calls == [(len(report.errors), loc.BMO_SAMPLES)]
 
 
 def test_certificate_makes_no_windowed_l2_calls(monkeypatch):
