@@ -221,8 +221,12 @@ def _group_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     each group makes it add 0 + (x0 + ...), which is how np.sum adds a
     C-ordered row.
     """
-    padded = np.insert(np.ascontiguousarray(values), starts, 0.0, axis=1)
-    return np.add.reduceat(padded, starts + np.arange(starts.size), axis=1)
+    heads = starts + np.arange(starts.size)  # the zero columns, as np.insert places them
+    keep = np.ones(values.shape[1] + starts.size, dtype=bool)
+    keep[heads] = False
+    padded = np.zeros((values.shape[0], keep.size))
+    padded[:, keep] = values
+    return np.add.reduceat(padded, heads, axis=1)
 
 
 def _screened_groups(cells: np.ndarray, starts, alphas: np.ndarray, tables=None) -> np.ndarray:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -58,7 +58,6 @@ __all__ = [
     "build_partition",
     "build_comparison",
     "classify_intervals",
-    "classification_sensitivity",
     "local_error_terms",
     "certificate_check",
     "normalize_configuration",
@@ -92,8 +91,9 @@ _KERNEL_BLOCK_ENTRIES = 2**15
 def _corner_sums(profile: SawtoothProfile, y: np.ndarray, kernel) -> list[np.ndarray]:
     """sum_j 4 s_j k(y - z_j) over the corners z_j and slopes s_j, per kernel output k.
 
-    kernel maps a (points x corners) block of y - z_j to a tuple of arrays;
-    the 1-D points y go a block at a time, so memory stays bounded in len(y).
+    kernel maps a fresh (points x corners) block of y - z_j, which it may
+    overwrite, to a tuple of arrays; the 1-D points y go a block at a time,
+    so memory stays bounded in len(y).
     """
     z = np.asarray(profile.corners)
     weights = 4.0 * profile.slope_after_corners()
@@ -117,9 +117,45 @@ def hilbert_slope_exact(profile: SawtoothProfile, y) -> np.ndarray | float:
     floating point) at the corners.  Points of any shape go in blocks.
     """
     yy, h = np.asarray(y, dtype=float), profile.period
-    (out,) = _corner_sums(
-        profile, yy.ravel(), lambda d: (np.log(np.abs(2.0 * np.sin(np.pi * d / h))),))
+
+    def log_chord(d: np.ndarray) -> tuple[np.ndarray]:
+        # log|2 sin(pi d / h)|, op for op, in place on the fresh block
+        d *= np.pi
+        d /= h
+        np.sin(d, out=d)
+        d *= 2.0
+        np.abs(d, out=d)
+        np.log(d, out=d)
+        return (d,)
+
+    (out,) = _corner_sums(profile, yy.ravel(), log_chord)
     return float(out[0]) if yy.ndim == 0 else out.reshape(yy.shape)
+
+
+@lru_cache(maxsize=8)
+def _scan_windows(n: int, min_width_frac: float) -> tuple[np.ndarray, ...]:
+    """bmo_seminorm's windows on n samples: starts, ends, widths, first window of each width.
+
+    Dyadic widths from n down to min_width_frac n (at least 2 samples),
+    each slid across at most BMO_OFFSETS evenly spaced starts; the
+    windows of one width are consecutive.  Built once per (n, fraction).
+    """
+    starts, widths = [], []
+    width = n
+    while True:
+        m = max(2, int(round(width)))
+        lo = np.unique(np.linspace(0, n - m, min(BMO_OFFSETS, n - m + 1)).astype(int))
+        starts.append(lo)
+        widths.append(np.full(len(lo), m))
+        if width <= n * min_width_frac * (1 + 1e-9) or m == 2:
+            break
+        width /= 2.0
+    first = np.cumsum([0] + [len(lo) for lo in starts[:-1]])
+    lo, m = np.concatenate(starts), np.concatenate(widths)
+    table = (lo, lo + m, m.astype(float), first)
+    for arr in table:
+        arr.flags.writeable = False
+    return table
 
 
 def bmo_seminorm(
@@ -133,32 +169,25 @@ def bmo_seminorm(
     mean-square oscillation found.  A lower bound on the true supremum
     that is monotone in the search family.  Reduces over the last axis:
     a (K, n) array holds K windows, scanned together from prefix sums
-    along each row, and gives K values; a 1-D input gives a float.
+    along each row, and gives K values; a 1-D input gives a float.  All
+    windows of all widths are gathered in one pass; a width whose
+    oscillation is NaN (a sample on a corner) never wins.
     """
     g = np.asarray(samples, dtype=float)
     if g.ndim == 0 or g.shape[-1] < 4:
         raise InvariantError("bmo_seminorm needs at least 4 samples")
     if not (0 < min_width_frac <= 1):
         raise InvariantError("min_width_frac must lie in (0, 1]")
-    n = g.shape[-1]
+    lo, hi, m, first = _scan_windows(g.shape[-1], min_width_frac)
     # oscillation is shift invariant; centering tames cancellation
     g = g - g.mean(axis=-1, keepdims=True)
     zero = np.zeros(g.shape[:-1] + (1,))
     s1 = np.concatenate((zero, np.cumsum(g, axis=-1)), axis=-1)
     s2 = np.concatenate((zero, np.cumsum(g * g, axis=-1)), axis=-1)
-    best = np.zeros(g.shape[:-1])
-    width = n
-    while True:
-        m = max(2, int(round(width)))
-        starts = np.unique(np.linspace(0, n - m, min(BMO_OFFSETS, n - m + 1)).astype(int))
-        mean = (s1[..., starts + m] - s1[..., starts]) / m
-        msq = (s2[..., starts + m] - s2[..., starts]) / m
-        osc = np.max(msq - mean * mean, axis=-1)
-        best = np.where(osc > best, osc, best)  # a NaN (sample on a corner) never wins
-        if width <= n * min_width_frac * (1 + 1e-9) or m == 2:
-            break
-        width /= 2.0
-    out = np.sqrt(best)
+    mean = (s1[..., hi] - s1[..., lo]) / m
+    msq = (s2[..., hi] - s2[..., lo]) / m
+    osc = np.maximum.reduceat(msq - mean * mean, first, axis=-1)  # NaN-propagating, per width
+    out = np.sqrt(np.fmax.reduce(osc, axis=-1, initial=0.0))  # NaN widths skipped
     return float(out) if g.ndim == 1 else out
 
 
@@ -434,12 +463,31 @@ def _require_normalized(params: ModelParams) -> None:
 
 
 def _strain_per_interval(config: Configuration, part: IntervalPartition) -> np.ndarray:
-    """Strain of the linear-in-x interpolation restricted to each interval."""
+    """Strain of the linear-in-x interpolation restricted to each interval.
+
+    A cell between two stations holding one profile object adds exactly
+    +0.0 and is skipped.
+    """
     out = np.zeros(part.count)
+    ps = config.profiles
     for j in range(len(config.stations) - 1):
-        dx = config.stations[j + 1] - config.stations[j]
-        out += _interval_l2_sq(config.profiles[j + 1], config.profiles[j], part) / dx
+        if ps[j + 1] is not ps[j]:
+            dx = config.stations[j + 1] - config.stations[j]
+            out += _interval_l2_sq(ps[j + 1], ps[j], part) / dx
     return out
+
+
+def _window_counts(
+    profile: SawtoothProfile, h: float, lo: np.ndarray, span: np.ndarray, full: np.ndarray
+) -> np.ndarray:
+    """Corners of profile in each interval's star window, all (K, 3) pieces in one comparison.
+
+    A piece [lo, lo + span) holds the corners c with mod(c - lo, h) <
+    span, or all of them when it spans a full period.
+    """
+    c = np.asarray(profile.corners)
+    inside = np.count_nonzero(np.mod(c - lo[..., None], h) < span[..., None], axis=-1)
+    return np.where(full, len(c), inside).sum(axis=-1).astype(float)
 
 
 def _interface_excess_per_interval(
@@ -449,30 +497,25 @@ def _interface_excess_per_interval(
 
     Each x-cell is charged at the station with the larger total count
     (ties to the later station), matching the surface energy convention,
-    with that station's corner positions deciding the window counts.
-    A star piece [lo, hi) holds the corners c with mod(c - lo, h) <
-    hi - lo, or all of them when it spans a full period; all 3K pieces
-    are counted in one comparison.
+    with that station's corner positions deciding the window counts,
+    which are counted once per distinct carrier object.
     """
     h = part.period
-    counts = [p.interface_count() for p in config.profiles]
+    ps = config.profiles
     pieces = np.asarray([part.star_pieces(k) for k in range(part.count)])  # (K, 3, 2)
     lo, span = pieces[..., 0], pieces[..., 1] - pieces[..., 0]
     full = span >= h * (1 - 1e-12)
-
-    def window_counts(profile: SawtoothProfile) -> np.ndarray:
-        c = np.asarray(profile.corners)
-        inside = np.count_nonzero(np.mod(c - lo[..., None], h) < span[..., None], axis=-1)
-        return np.where(full, len(c), inside).sum(axis=-1).astype(float)
-
-    out = np.zeros(part.count)
-    if len(config.profiles) == 1:
-        carrier = window_counts(config.profiles[0])
+    if len(ps) == 1:
+        carrier = _window_counts(ps[0], h, lo, span, full)
         return 0.5 * epsilon * config.params.length_L * (carrier - 4.0)
-    for j in range(len(config.stations) - 1):
+    counts = [p.interface_count() for p in ps]
+    picks = [ps[j] if counts[j] > counts[j + 1] else ps[j + 1] for j in range(len(ps) - 1)]
+    carriers = {id(p): p for p in picks}
+    windows = {key: _window_counts(p, h, lo, span, full) for key, p in carriers.items()}
+    out = np.zeros(part.count)
+    for j, p in enumerate(picks):
         dx = config.stations[j + 1] - config.stations[j]
-        pick = j if counts[j] > counts[j + 1] else j + 1
-        out += 0.5 * epsilon * dx * (window_counts(config.profiles[pick]) - 4.0)
+        out += 0.5 * epsilon * dx * (windows[id(p)] - 4.0)
     return out
 
 
@@ -544,36 +587,6 @@ def _classify(
                    float(f2[k]), int(itype[k]))
         for k in range(part.count)
     ]
-
-
-def classification_sensitivity(
-    u: Configuration,
-    part: IntervalPartition,
-    eta: float = DEFAULT_ETA,
-    kappa: float = DEFAULT_KAPPA,
-) -> dict:
-    """Type counts at (eta, kappa) and at 2x / 0.5x of each threshold.
-
-    The thresholds are conventions, not derived constants, so reports
-    carry how strongly the classification depends on them.  All five
-    classifications share one comparison profile.
-    """
-    thresholds = (
-        ("base", eta, kappa),
-        ("eta_half", eta / 2.0, kappa),
-        ("eta_double", eta * 2.0, kappa),
-        ("kappa_half", eta, kappa / 2.0),
-        ("kappa_double", eta, kappa * 2.0),
-    )
-    for _, e_val, k_val in thresholds:
-        _check_classify_inputs(u, e_val, k_val)
-    cmp = build_comparison(u.profiles[0], part)
-    out = {}
-    for label, e_val, k_val in thresholds:
-        types = [t.itype for t in _classify(u, part, cmp, e_val, k_val)]
-        counts = np.bincount(types, minlength=5)[1:].tolist()
-        out[label] = {"eta": e_val, "kappa": k_val, "counts": counts}
-    return out
 
 
 # -- exact pairing against the log kernel ------------------------------------
@@ -689,15 +702,16 @@ def normalize_configuration(config: Configuration) -> tuple[Configuration, float
         length_L=1.0,
         height_h=1.0,
     )
-    profiles = tuple(
-        SawtoothProfile(
-            period=1.0,
-            offset=q.offset / h,
-            initial_slope=q.initial_slope,
-            corners=tuple(c / h for c in q.corners),
-        )
-        for q in config.profiles
-    )
+    scaled = {}  # each distinct profile object once, so shared profiles stay shared
+    for q in config.profiles:
+        if id(q) not in scaled:
+            scaled[id(q)] = SawtoothProfile(
+                period=1.0,
+                offset=q.offset / h,
+                initial_slope=q.initial_slope,
+                corners=tuple(c / h for c in q.corners),
+            )
+    profiles = tuple(scaled[id(q)] for q in config.profiles)
     stations = tuple(x / L for x in config.stations)
     return Configuration(params, stations, profiles), h**3 / L
 

@@ -292,6 +292,11 @@ class SawtoothProfile:
 
     @classmethod
     def from_json(cls, data: dict) -> "SawtoothProfile":
+        return cls(*cls._json_fields(data))
+
+    @staticmethod
+    def _json_fields(data: dict) -> tuple[float, float, int, tuple[float, ...]]:
+        """The four checked fields of a profile's JSON object, in constructor order."""
         period, offset, slope = (
             _json_number(_json_field(data, n, "profile"), n)
             for n in ("period", "offset", "initial_slope")
@@ -299,7 +304,7 @@ class SawtoothProfile:
         if slope not in (1.0, -1.0):
             raise InvariantError(f"initial_slope must be +1 or -1, got {data['initial_slope']!r}")
         corners = _json_numbers(_json_field(data, "corners", "profile"), "corners")
-        return cls(period, offset, int(slope), corners)
+        return period, offset, int(slope), corners
 
 
 @dataclass(frozen=True)
@@ -352,23 +357,28 @@ class Configuration:
 
     @classmethod
     def from_json(cls, data: dict) -> "Configuration":
+        """Configuration from its JSON object.
+
+        Consecutive profile entries whose fields are equal bit for bit
+        (so -0.0 and 0.0 differ) load as one shared profile object.
+        """
         params = ModelParams.from_json(_json_field(data, "params", "configuration"))
         stations = _json_numbers(_json_field(data, "stations", "configuration"), "stations")
         entries = _json_list(_json_field(data, "profiles", "configuration"), "profiles")
-        profiles = []
+        profiles, last = [], None
         for i, p in enumerate(entries):
             try:
-                profiles.append(SawtoothProfile.from_json(p))
+                fields = SawtoothProfile._json_fields(p)
+                bits = np.array([*fields[:3], *fields[3]]).tobytes()
+                if bits != last:
+                    profile, last = SawtoothProfile(*fields), bits
             except InvariantError as exc:
                 raise InvariantError(f"profiles[{i}]: {exc}") from exc
+            profiles.append(profile)
         return cls(params, stations, tuple(profiles))
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), indent=2)
-
-    @classmethod
-    def loads(cls, text: str) -> "Configuration":
-        return cls.from_json(json.loads(text))
 
 
 @dataclass(frozen=True)

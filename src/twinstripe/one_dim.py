@@ -26,12 +26,10 @@ __all__ = [
     "C0",
     "CS",
     "OneDimResult",
-    "CsReport",
     "e1d",
     "optimal_even_m",
     "make_w_m",
     "lower_bound_decomposition",
-    "cs_asymptotic_check",
 ]
 
 
@@ -53,7 +51,6 @@ def _zeta(s: int, terms: int = 256) -> float:
 ZETA3 = _zeta(3)
 C0 = 14.0 * ZETA3 / math.pi**2
 CS = 2.0 * math.sqrt(C0)
-_REGIME_FACTOR = 10.0  # see cs_asymptotic_check
 
 
 @dataclass(frozen=True)
@@ -68,18 +65,6 @@ class OneDimResult:
     m_star: tuple[int, ...]
     energy: float
     m_continuous: float
-
-
-@dataclass(frozen=True)
-class CsReport:
-    """Ratio of the optimal striped energy to its asymptotic law."""
-
-    ratio: float
-    lower: float
-    upper: float
-    in_regime: bool
-    passes: bool
-    m_star: tuple[int, ...]
 
 
 def e1d(m: int, params: ModelParams) -> float:
@@ -160,28 +145,3 @@ def lower_bound_decomposition(
     h = params.height_h
     spread = params.beta * C0 * float(np.sum((gaps - h / m0) ** 2))
     return e1d(m0, params), spread
-
-
-def cs_asymptotic_check(params: ModelParams) -> CsReport:
-    """Compare the optimal striped energy with its square-root law.
-
-    ratio = E1D(M*) / (h L c_s sqrt(beta eps / L)) should sit within
-    1 +- f L eps / (h^2 beta) whenever beta is at least f eps L / h^2,
-    f = _REGIME_FACTOR; outside that regime the check is reported but
-    not binding.
-    """
-    b, eps, L, h = params.beta, params.epsilon, params.length_L, params.height_h
-    res = optimal_even_m(params)
-    denom = h * L * CS * math.sqrt(b * eps / L)
-    ratio = res.energy / denom
-    margin = _REGIME_FACTOR * L * eps / (h * h * b)
-    in_regime = b >= _REGIME_FACTOR * eps * L / (h * h)
-    passes = (not in_regime) or (1.0 - margin <= ratio <= 1.0 + margin)
-    return CsReport(
-        ratio=ratio,
-        lower=1.0 - margin,
-        upper=1.0 + margin,
-        in_regime=in_regime,
-        passes=passes,
-        m_star=res.m_star,
-    )

@@ -64,7 +64,6 @@ __all__ = [
     "branched_candidate",
     "phase_sweep",
     "relax",
-    "striped_breakdown",
     "striped_candidate",
 ]
 
@@ -140,15 +139,6 @@ def striped_candidate(params: ModelParams, stations: int = DEFAULT_STATIONS) -> 
     prof = make_w_m(m, params)
     xs = tuple(np.linspace(0.0, params.length_L, stations))
     return Configuration(params, xs, (prof,) * stations)
-
-
-def striped_breakdown(params: ModelParams) -> EnergyBreakdown:
-    """Closed-form energy of the striped candidate: no strain, equal gaps."""
-    m = optimal_even_m(params).m_star[0]
-    h, L = params.height_h, params.length_L
-    return EnergyBreakdown.from_parts(
-        params.beta * C0 * h * h / m, 0.0, params.epsilon * L * m
-    )
 
 
 # -- branched trial state ------------------------------------------------------

@@ -5,6 +5,7 @@ plain dense quadrature, high-precision special functions, and brute
 force enumeration.  Tests compare the library against these.
 """
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -13,6 +14,7 @@ import numpy as np
 
 from twinstripe import chessboard as cb
 from twinstripe import energy
+from twinstripe import localization as loc
 from twinstripe.chessboard import (
     check_chessboard_bound,
     check_master_inequality,
@@ -21,12 +23,16 @@ from twinstripe.chessboard import (
 )
 from twinstripe.energy import DEFAULT_CUTOFF
 from twinstripe.model_core import (
+    Configuration,
+    EnergyBreakdown,
     InvariantError,
+    ModelParams,
     NonConvergenceError,
     SawtoothProfile,
     fourier_coefficients,
     random_profile,
 )
+from twinstripe.one_dim import C0, CS, optimal_even_m
 
 
 def quad_fourier_coefficient(profile, k: int, nodes: int = 10**6) -> complex:
@@ -419,6 +425,130 @@ def verify_suite_reference(trials: int, seed: int = 0, alphas=(0.1, 1.0, 10.0)) 
         "chessboard": stats(cb),
         "master": stats(master),
     }
+
+
+# -- cross-checks and conveniences that no command reaches -------------------------
+# Kept here, with their tests, since the package itself never calls them.
+
+
+def load_configuration(text: str) -> Configuration:
+    """Configuration from a JSON string."""
+    return Configuration.from_json(json.loads(text))
+
+
+def l2_norm_sq(profile: SawtoothProfile) -> float:
+    """Exact squared L2 norm of the profile over one period."""
+    ys, v = profile.nodes()
+    va, vb = v[:-1], v[1:]
+    return float(np.sum(np.diff(ys) * (va * va + va * vb + vb * vb) / 3.0))
+
+
+def striped_breakdown(params: ModelParams) -> EnergyBreakdown:
+    """Closed-form energy of the striped candidate: no strain, equal gaps."""
+    m = optimal_even_m(params).m_star[0]
+    h, L = params.height_h, params.length_L
+    return EnergyBreakdown.from_parts(
+        params.beta * C0 * h * h / m, 0.0, params.epsilon * L * m
+    )
+
+
+_REGIME_FACTOR = 10.0  # see cs_asymptotic_check
+
+
+@dataclass(frozen=True)
+class CsReport:
+    """Ratio of the optimal striped energy to its asymptotic law."""
+
+    ratio: float
+    lower: float
+    upper: float
+    in_regime: bool
+    passes: bool
+    m_star: tuple[int, ...]
+
+
+def cs_asymptotic_check(params: ModelParams) -> CsReport:
+    """Compare the optimal striped energy with its square-root law.
+
+    ratio = E1D(M*) / (h L c_s sqrt(beta eps / L)) should sit within
+    1 +- f L eps / (h^2 beta) whenever beta is at least f eps L / h^2,
+    f = _REGIME_FACTOR; outside that regime the check is reported but
+    not binding.
+    """
+    b, eps, L, h = params.beta, params.epsilon, params.length_L, params.height_h
+    res = optimal_even_m(params)
+    denom = h * L * CS * math.sqrt(b * eps / L)
+    ratio = res.energy / denom
+    margin = _REGIME_FACTOR * L * eps / (h * h * b)
+    in_regime = b >= _REGIME_FACTOR * eps * L / (h * h)
+    passes = (not in_regime) or (1.0 - margin <= ratio <= 1.0 + margin)
+    return CsReport(
+        ratio=ratio,
+        lower=1.0 - margin,
+        upper=1.0 + margin,
+        in_regime=in_regime,
+        passes=passes,
+        m_star=res.m_star,
+    )
+
+
+def classification_sensitivity(
+    u: Configuration,
+    part,
+    eta: float = loc.DEFAULT_ETA,
+    kappa: float = loc.DEFAULT_KAPPA,
+) -> dict:
+    """Type counts at (eta, kappa) and at 2x / 0.5x of each threshold.
+
+    The thresholds are conventions, not derived constants, so reports
+    carry how strongly the classification depends on them.  All five
+    classifications share one comparison profile.
+    """
+    thresholds = (
+        ("base", eta, kappa),
+        ("eta_half", eta / 2.0, kappa),
+        ("eta_double", eta * 2.0, kappa),
+        ("kappa_half", eta, kappa / 2.0),
+        ("kappa_double", eta, kappa * 2.0),
+    )
+    for _, e_val, k_val in thresholds:
+        loc._check_classify_inputs(u, e_val, k_val)
+    cmp = loc.build_comparison(u.profiles[0], part)
+    out = {}
+    for label, e_val, k_val in thresholds:
+        types = [t.itype for t in loc._classify(u, part, cmp, e_val, k_val)]
+        counts = np.bincount(types, minlength=5)[1:].tolist()
+        out[label] = {"eta": e_val, "kappa": k_val, "counts": counts}
+    return out
+
+
+def bmo_seminorm_loop(samples, min_width_frac: float = loc.BMO_MIN_FRAC):
+    """localization.bmo_seminorm as a loop over the widths, one gather per width.
+
+    Each width m slides across at most BMO_OFFSETS evenly spaced starts;
+    a width's oscillation replaces the best so far only when strictly
+    larger, so a NaN width never wins.
+    """
+    g = np.asarray(samples, dtype=float)
+    n = g.shape[-1]
+    g = g - g.mean(axis=-1, keepdims=True)
+    zero = np.zeros(g.shape[:-1] + (1,))
+    s1 = np.concatenate((zero, np.cumsum(g, axis=-1)), axis=-1)
+    s2 = np.concatenate((zero, np.cumsum(g * g, axis=-1)), axis=-1)
+    best = np.zeros(g.shape[:-1])
+    width = n
+    while True:
+        m = max(2, int(round(width)))
+        starts = np.unique(np.linspace(0, n - m, min(loc.BMO_OFFSETS, n - m + 1)).astype(int))
+        mean = (s1[..., starts + m] - s1[..., starts]) / m
+        msq = (s2[..., starts + m] - s2[..., starts]) / m
+        osc = np.max(msq - mean * mean, axis=-1)
+        best = np.where(osc > best, osc, best)
+        if width <= n * min_width_frac * (1 + 1e-9) or m == 2:
+            break
+        width /= 2.0
+    out = np.sqrt(best)
+    return float(out) if g.ndim == 1 else out
 
 
 # -- spectral and real-space cross-checks of the boundary term ---------------------

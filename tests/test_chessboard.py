@@ -435,3 +435,21 @@ def test_verify_suite_block_makes_one_call_per_kernel(monkeypatch):
 def test_verify_suite_rejects_a_negative_seed():
     with pytest.raises(InvariantError, match="seed"):
         cb.verify_suite(trials=1, seed=-1)
+
+
+def test_group_sums_equals_the_insert_form():
+    # the zero-led padding np.insert builds, reduced the same way
+    rng = np.random.default_rng(36)
+    for trial in range(60):
+        sizes = rng.integers(1, 6, size=int(rng.integers(1, 12)))
+        sizes[rng.random(sizes.size) < 0.4] = 1  # one-column groups
+        starts = np.concatenate(([0], np.cumsum(sizes[:-1]))).astype(np.intp)
+        scale = 10.0 ** rng.integers(-8, 9, size=(1, int(sizes.sum())))
+        values = rng.standard_normal((int(rng.integers(1, 4)), int(sizes.sum()))) * scale
+        if trial % 3 == 0:
+            values = np.asfortranarray(values)
+        padded = np.insert(np.ascontiguousarray(values), starts, 0.0, axis=1)
+        want = np.add.reduceat(padded, starts + np.arange(starts.size), axis=1)
+        got = cb._group_sums(values, starts)
+        assert got.shape == want.shape == (values.shape[0], sizes.size)
+        assert (got == want).all()

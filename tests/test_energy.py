@@ -20,7 +20,6 @@ from twinstripe.energy import (
     h_half_inner,
     h_half_sq,
     h_half_sq_fourier,
-    l2_norm_sq,
     pair_sum,
     strain_energy,
     surface_energy,
@@ -36,6 +35,7 @@ from oracles import (
     h_half_inner_closed_form,
     h_half_sq_closed_form,
     h_half_sq_realspace,
+    l2_norm_sq,
     periodized_kernel,
     quad_mean_square,
 )

@@ -31,6 +31,8 @@ from twinstripe import localization as loc
 from twinstripe.optimize import striped_candidate
 
 from oracles import (
+    bmo_seminorm_loop,
+    classification_sensitivity,
     hilbert_transform,
     interval_l2_sq_reference,
     interval_pairing_mp,
@@ -322,6 +324,60 @@ def test_bmo_rows_match_one_dimensional_calls():
         loc.bmo_seminorm(np.zeros((3, 3)))
 
 
+def test_bmo_one_pass_scan_equals_the_per_width_loop():
+    rng = np.random.default_rng(34)
+    w = random_profile(rng, 1.0, 4)
+    n = 2048
+    ys = (np.arange(n) + 0.5) / n
+    samples = np.asarray(loc.hilbert_slope_exact(w, ys))
+    on_corner, spiked, early = samples.copy(), samples.copy(), samples.copy()
+    on_corner[1500] = -np.inf  # a sample on a corner of w
+    spiked[0] = 1e155  # its square overflows: the full window inf, all narrower ones NaN
+    early[3] = np.nan
+    rows = np.stack([rng.standard_normal(n).cumsum(), samples, np.full(n, 0.7), ys,
+                     on_corner, spiked, early])
+    batches = [rows] + [rng.standard_normal((3, k)) for k in range(4, 10)]
+    batches[1][1, 2] = -np.inf
+    for batch in batches:
+        for frac in (1.0, 0.25, loc.BMO_MIN_FRAC):
+            with np.errstate(invalid="ignore", over="ignore"):
+                got = loc.bmo_seminorm(batch, frac)
+                want = bmo_seminorm_loop(batch, frac)
+                assert got.shape == want.shape and (got == want).all()
+                assert all(loc.bmo_seminorm(row, frac) == bmo_seminorm_loop(row, frac)
+                           for row in batch)
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert loc.bmo_seminorm(spiked) == math.inf  # the NaN widths do not win
+
+
+def test_hilbert_kernel_runs_in_place_and_equals_the_plain_form(monkeypatch):
+    kernels = []
+    corner_sums = loc._corner_sums
+
+    def spy(profile, y, kernel):
+        kernels.append(kernel)
+        return corner_sums(profile, y, kernel)
+
+    monkeypatch.setattr(loc, "_corner_sums", spy)
+    rng = np.random.default_rng(35)
+    for h in (1.0, 0.37, 3.0):
+        w = random_profile(rng, h, 5)
+        z = np.asarray(w.corners)
+        ys = rng.uniform(-h, 2.0 * h, 300)
+        ys[:3] = z[:3]  # on corners: log 0
+        kernels.clear()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            loc.hilbert_slope_exact(w, ys)
+            (kernel,) = kernels
+            d = np.subtract.outer(ys, z)
+            want = np.log(np.abs(2.0 * np.sin(np.pi * d / h)))
+            block = d.copy()
+            (got,) = kernel(block)
+        assert got is block  # no new array
+        assert (got == want).all()
+        assert np.isneginf(got[:3]).sum() == 3
+
+
 def test_bmo_of_transformed_slope_stays_bounded():
     # H w' has log singularities yet small mean-square oscillation
     rng = np.random.default_rng(32)
@@ -333,6 +389,50 @@ def test_bmo_of_transformed_slope_stays_bounded():
         assert np.isfinite(val)
         worst = max(worst, val)
     assert worst < 50.0
+
+
+def test_certify_prices_no_cell_between_one_profile_object(tmp_path, monkeypatch):
+    from twinstripe import cli
+
+    params = ModelParams(0.02, 1e-3, 1.0, 1.0)
+    base = striped_candidate(params, stations=7)
+    u = base.profiles[0]
+    a, c = u.translated(0.003), u.translated(-0.002)
+    stations = (a, a, u, u, u, c, c)
+    path = tmp_path / "shared.json"
+    path.write_text(Configuration(params, base.stations, stations).dumps(), encoding="utf-8")
+    # the same values with every station its own object
+    copies = tuple(SawtoothProfile.from_json(p.to_json()) for p in stations)
+    want = loc.certificate_check(Configuration(params, base.stations, copies)).to_json()
+
+    l2_cells, distances, carriers = [], [], []
+    interval_l2_sq, l2_distance, window_counts = (
+        loc._interval_l2_sq, energy.l2_distance, loc._window_counts)
+
+    def counting_interval_l2_sq(p, q, *args):
+        l2_cells.append((p, q))
+        return interval_l2_sq(p, q, *args)
+
+    def counting_l2_distance(p, q):
+        distances.append((p, q))
+        return l2_distance(p, q)
+
+    def counting_window_counts(profile, *args):
+        carriers.append(profile)
+        return window_counts(profile, *args)
+
+    monkeypatch.setattr(loc, "_interval_l2_sq", counting_interval_l2_sq)
+    monkeypatch.setattr(energy, "l2_distance", counting_l2_distance)
+    monkeypatch.setattr(loc, "_window_counts", counting_window_counts)
+    assert cli.main(["certify", "--config", str(path), "--output", str(tmp_path / "out.json")]) == 0
+    got = json.loads((tmp_path / "out.json").read_text(encoding="utf-8"))
+    assert got == json.loads(json.dumps(want))
+    assert all(p is not q for p, q in l2_cells + distances)
+    # two strain cells (a|u, u|c), the comparison mismatch and the ratio's denominator
+    assert len(l2_cells) == 4
+    assert len(distances) == 2
+    # every cell is charged at its later station: carriers a, u and c, each counted once
+    assert len(carriers) == 3 and len({id(p) for p in carriers}) == 3
 
 
 # -- partition -----------------------------------------------------------------
@@ -582,7 +682,7 @@ def test_classification_sensitivity_marks_threshold_dependence():
     u1 = make_w_m(10, UNIT)
     config = two_station_config(u1.translated(0.004), u1)
     part = loc.build_partition(u1)
-    report = loc.classification_sensitivity(config, part)
+    report = classification_sensitivity(config, part)
     assert set(report) == {"base", "eta_half", "eta_double", "kappa_half", "kappa_double"}
     base = report["base"]["counts"]
     assert sum(base) == part.count
@@ -611,14 +711,14 @@ def test_classification_sensitivity_builds_one_comparison_profile(monkeypatch):
                             ("kappa_double", 1e-3, 0.2))
     }
     monkeypatch.setattr(loc, "build_comparison", counting_build)
-    report = loc.classification_sensitivity(config, part)
+    report = classification_sensitivity(config, part)
     assert len(built) == 1
     for label, counts in expected.items():
         assert report[label]["counts"] == counts
     # every threshold pair is checked before anything is built
     built.clear()
     with pytest.raises(InvariantError):
-        loc.classification_sensitivity(config, part, eta=1e308)
+        classification_sensitivity(config, part, eta=1e308)
     assert built == []
 
 

@@ -25,6 +25,7 @@ from twinstripe.localization import IntervalPartition, _interval_l2_sq
 from oracles import (
     evaluate_reference,
     l2_distance_reference,
+    load_configuration,
     nodes_reference,
     quad_fourier_coefficient,
     quad_l2_distance,
@@ -375,7 +376,7 @@ def test_configuration_round_trip_and_validation():
     params = ModelParams(1.0, 1e-3, 1.0, 1.0)
     cfg = Configuration(params, (0.0, 0.5, 1.0), (W2, W2, W4))
     blob = cfg.dumps()
-    back = Configuration.loads(blob)
+    back = load_configuration(blob)
     assert back == cfg
     with pytest.raises(InvariantError):
         Configuration(params, (0.0, 1.0), (W2,))
@@ -387,6 +388,28 @@ def test_configuration_round_trip_and_validation():
     del bad_blob["params"]["beta"]
     with pytest.raises(InvariantError):
         Configuration.from_json(bad_blob)
+
+
+def test_loader_shares_consecutive_bit_identical_profiles():
+    params = ModelParams(1.0, 1e-3, 1.0, 1.0)
+    cfg = Configuration(params, (0.0, 0.25, 0.5, 0.75, 1.0), (W4, W4, W2, W4, W4))
+    text = cfg.dumps()
+    back = Configuration.from_json(json.loads(text))
+    p = back.profiles
+    assert p[0] is p[1] and p[3] is p[4]
+    assert p[1] is not p[2] and p[2] is not p[3] and p[0] is not p[3]  # neighbours only
+    assert back == cfg and back.dumps() == text
+    # a signed zero in the offset or a corner is equal under == but not bit for bit
+    zero = SawtoothProfile(1.0, 0.0, 1, (0.0, 0.5))
+    for other in (replace(zero, offset=-0.0), SawtoothProfile(1.0, 0.0, 1, (-0.0, 0.5))):
+        assert other == zero
+        cfg = Configuration(params, (0.0, 0.5, 1.0), (zero, other, other))
+        text = cfg.dumps()
+        assert "-0.0" in text
+        back = Configuration.from_json(json.loads(text))
+        assert back.profiles[0] is not back.profiles[1]
+        assert back.profiles[1] is back.profiles[2]
+        assert back.dumps() == text
 
 
 def test_energy_breakdown_consistency():

@@ -134,7 +134,7 @@ def test_lower_bound_equality_at_equispaced_profile():
 
 def test_asymptotic_square_root_law():
     params = ModelParams(beta=1.0, epsilon=1e-4, length_L=1.0, height_h=1.0)
-    rep = one_dim.cs_asymptotic_check(params)
+    rep = oracles.cs_asymptotic_check(params)
     assert rep.in_regime
     assert rep.passes
     assert 1.0 - 1e-3 <= rep.ratio <= 1.0 + 1e-3
@@ -142,7 +142,7 @@ def test_asymptotic_square_root_law():
 
 def test_asymptotic_check_flags_out_of_regime():
     params = ModelParams(beta=1e-3, epsilon=0.5, length_L=1.0, height_h=1.0)
-    rep = one_dim.cs_asymptotic_check(params)
+    rep = oracles.cs_asymptotic_check(params)
     assert not rep.in_regime
     assert rep.passes  # vacuous outside the regime
 
