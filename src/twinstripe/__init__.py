@@ -14,7 +14,6 @@ from .model_core import (
     ModelParams,
     NonConvergenceError,
     SawtoothProfile,
-    fourier_coefficient,
     l2_distance,
 )
 from .energy import (

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import _BLOCK_ENTRIES, h_half_sq
+from .energy import _BLOCK_ENTRIES, _horner, h_half_sq
 from .model_core import InvariantError, SawtoothProfile, random_profile
 from .one_dim import C0
 
@@ -198,8 +198,8 @@ def _cell_tables(cells: np.ndarray, alphas: np.ndarray):
     f4 = ttail - 0.5 * x * x + x**3 / 3.0
     small = x < 0.5
     xs = x[small]
-    f2[small] = xs * xs * np.polyval(_P2_DESC, xs)
-    f4[small] = xs**4 * np.polyval(_P4_DESC, xs)
+    f2[small] = xs * xs * _horner(_P2_DESC, xs)
+    f4[small] = xs**4 * _horner(_P4_DESC, xs)
     ttail[small] = 0.5 * xs * xs - xs**3 / 3.0 + f4[small]
     inva = 1.0 / al
     R = va * E1 * inva + q * ttail * inva**2

@@ -26,14 +26,15 @@ from .model_core import (
     InvariantError,
     ModelParams,
     NonConvergenceError,
+    _json_dumps,
 )
 from .one_dim import optimal_even_m
 from .optimize import (
     RelaxOptions,
     SweepGrid,
     branched_candidate,
+    _descend,
     phase_sweep,
-    relax,
 )
 
 __all__ = ["build_parser", "main"]
@@ -59,7 +60,7 @@ def _write_text(text: str, path: str | None) -> None:
 
 
 def _emit_json(payload: dict, path: str | None) -> None:
-    _write_text(json.dumps(payload, indent=2), path)
+    _write_text(_json_dumps(payload), path)
 
 
 def _load_configuration(path: str) -> Configuration:
@@ -116,13 +117,12 @@ def _cmd_relax(args: argparse.Namespace) -> int:
         tol_energy=args.tol,
         topology_moves=args.topology,
     )
-    history: list[float] = []
-    final = relax(config, opts, history=history)
+    final, run = _descend(config, opts, None)
     breakdown = total_energy(final)
     payload = {
         "energy": breakdown.to_json(),
-        "initial_energy": history[0],
-        "accepted_moves": len(history) - 1,
+        "initial_energy": run.initial,
+        "accepted_moves": run.accepted,
         "configuration": final.to_json(),
     }
     _emit_json(payload, args.output)

@@ -72,6 +72,15 @@ _CL3_SERIES = np.array(
 )
 
 
+def _horner(coeffs: np.ndarray, x) -> np.ndarray:
+    """np.polyval(coeffs, x) in place: its multiply-adds in its order, so bit for bit."""
+    y = np.zeros_like(x)
+    for c in coeffs:
+        y *= x
+        y += c
+    return y
+
+
 def _clausen3_less_zeta3(theta: np.ndarray) -> np.ndarray:
     """Cl_3(theta) - zeta(3) for theta in [0, pi], Cl_3(theta) = sum_k cos(k theta) / k^3.
 
@@ -80,7 +89,7 @@ def _clausen3_less_zeta3(theta: np.ndarray) -> np.ndarray:
     """
     t2 = theta * theta
     log_part = 0.5 * t2 * np.log(np.where(theta > 0.0, theta, 1.0))
-    series = t2 * np.polyval(_CL3_SERIES, t2 / (4.0 * np.pi**2))
+    series = t2 * _horner(_CL3_SERIES, t2 / (4.0 * np.pi**2))
     return log_part - 0.75 * t2 - series
 
 
@@ -107,7 +116,7 @@ def _clausen2(theta: np.ndarray) -> np.ndarray:
     sign = np.where((theta < 0.0) != (far | (t < 0.0)), -1.0, 1.0)
     t = np.abs(t)
     log_part = t * np.log(np.where(t > 0.0, t, 1.0))
-    series = t * np.polyval(_CL2_SERIES, t * t / (4.0 * np.pi**2))
+    series = t * _horner(_CL2_SERIES, t * t / (4.0 * np.pi**2))
     return sign * (t - log_part + series)
 
 
@@ -156,8 +165,15 @@ def pair_sum(
 
 
 def h_half_sq(profile: SawtoothProfile) -> float:
-    """Half-norm squared of the trace, exact up to rounding (see h_half_inner)."""
-    return h_half_inner(profile, profile)
+    """Half-norm squared of the trace, exact up to rounding (see h_half_inner).
+
+    Summed once per profile object and kept on it (profiles are frozen);
+    a copy such as ``with_offset_shift`` is a new object and sums its own.
+    """
+    memo = profile.__dict__
+    if "_h_half_sq" not in memo:
+        memo["_h_half_sq"] = h_half_inner(profile, profile)
+    return memo["_h_half_sq"]
 
 
 def strain_energy(config: Configuration) -> float:

@@ -23,7 +23,7 @@ plain gap spread).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -236,6 +236,12 @@ class IntervalPartition:
     def widths(self) -> np.ndarray:
         return np.diff(self.boundaries)
 
+    @cached_property
+    def _neighbors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Cyclic indices k - 2, k - 1, k + 1 of interval k (K >= 2): x[k - 1] = np.roll(x, 1)[k]."""
+        k = np.arange(self.count)
+        return k - 2, k - 1, (k + 1) % self.count
+
     def interval(self, k: int) -> tuple[float, float]:
         b = self.boundaries
         return float(b[k]), float(b[k + 1])
@@ -445,13 +451,7 @@ class ErrorTerms:
     cbar: float  # 2 |pairing| / err, the measured chain constant
 
     def to_json(self) -> dict:
-        return {
-            "index": self.index,
-            "err": self.err,
-            "bmo": self.bmo,
-            "pairing": self.pairing,
-            "cbar": self.cbar,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _require_normalized(params: ModelParams) -> None:
@@ -531,10 +531,11 @@ def _gap_spread_per_interval(
     target = cmp.partition.period / m
     notch = (cmp.notch_gaps - target) ** 2
     conn = (cmp.connector_gaps - target) ** 2
-    # np.roll(x, 1)[k] = x[k - 1]; summed left to right, in window order
+    prev2, prev, nxt = cmp.partition._neighbors
+    # summed left to right, in window order
     window = (
-        np.roll(notch, 1) + notch + np.roll(notch, -1)
-        + np.roll(conn, 2) + np.roll(conn, 1) + conn + np.roll(conn, -1)
+        notch[prev] + notch + notch[nxt]
+        + conn[prev2] + conn[prev] + conn + conn[nxt]
     )
     return beta * C0 / 7.0 * window
 
@@ -573,13 +574,14 @@ def _classify(
     m = part.m_corners
     f0 = _gap_spread_per_interval(cmp, u.params.beta, m)
     per_interval = _strain_per_interval(u, part)
+    _, prev, nxt = part._neighbors
     # one third of the strain in the three-interval window around k
-    f1 = (per_interval + np.roll(per_interval, 1) + np.roll(per_interval, -1)) / 3.0
+    f1 = (per_interval + per_interval[prev] + per_interval[nxt]) / 3.0
     f2 = _interface_excess_per_interval(u, part, u.params.epsilon)
     widths = part.widths
-    max_w = np.max([np.roll(widths, 1), widths, np.roll(widths, -1)], axis=0)
+    max_w = np.max([widths[prev], widths, widths[nxt]], axis=0)
     asc, desc = part.ascent_gaps, part.descent_gaps
-    min_gap = np.min([np.roll(desc, 1), asc, desc, np.roll(asc, -1), np.roll(desc, -1)], axis=0)
+    min_gap = np.min([desc[prev], asc, desc, asc[nxt], desc[nxt]], axis=0)
     # the first failed test decides: width, then strain, then gaps
     itype = np.select([max_w > 6.0 / m, f1 > eta / m**3, min_gap < kappa / m], [4, 3, 2], 1)
     return [
@@ -692,25 +694,19 @@ def normalize_configuration(config: Configuration) -> tuple[Configuration, float
 
     Returns the rescaled configuration and the energy scale h^3 / L, so
     that E(original) = scale * E(rescaled) term by term; the rescaled
-    weights are beta L / h and eps L^2 / h^3.
+    weights are beta L / h and eps L^2 / h^3.  Where h, L and every
+    period are exactly 1.0 that is the input itself, returned as it is.
     """
     p = config.params
     h, L = p.height_h, p.length_L
-    params = ModelParams(
-        beta=p.beta * L / h,
-        epsilon=p.epsilon * L**2 / h**3,
-        length_L=1.0,
-        height_h=1.0,
-    )
+    if h == L == 1.0 and all(q.period == 1.0 for q in config.profiles):
+        return config, 1.0
+    params = ModelParams(p.beta * L / h, p.epsilon * L**2 / h**3, 1.0, 1.0)
     scaled = {}  # each distinct profile object once, so shared profiles stay shared
     for q in config.profiles:
         if id(q) not in scaled:
-            scaled[id(q)] = SawtoothProfile(
-                period=1.0,
-                offset=q.offset / h,
-                initial_slope=q.initial_slope,
-                corners=tuple(c / h for c in q.corners),
-            )
+            corners = tuple(c / h for c in q.corners)
+            scaled[id(q)] = SawtoothProfile(1.0, q.offset / h, q.initial_slope, corners)
     profiles = tuple(scaled[id(q)] for q in config.profiles)
     stations = tuple(x / L for x in config.stations)
     return Configuration(params, stations, profiles), h**3 / L

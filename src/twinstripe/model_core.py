@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Sequence
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -31,7 +31,6 @@ __all__ = [
     "SawtoothProfile",
     "Configuration",
     "EnergyBreakdown",
-    "fourier_coefficient",
     "fourier_coefficients",
     "l2_distance",
     "random_profile",
@@ -82,7 +81,41 @@ def _json_list(value, name: str) -> list:
 
 
 def _json_numbers(value, name: str) -> tuple[float, ...]:
-    return tuple(_json_number(v, f"{name}[{i}]") for i, v in enumerate(_json_list(value, name)))
+    items = _json_list(value, name)
+    if all(type(v) is float for v in items) and math.isfinite(sum(items)):  # all finite floats
+        return tuple(items)
+    return tuple(_json_number(v, f"{name}[{i}]") for i, v in enumerate(items))
+
+
+def _json_dumps(obj) -> str:
+    """json.dumps(obj, indent=2), byte for byte, without the standard library's
+    pure-Python indenting encoder: a list of finite floats is one join of
+    float.__repr__.  A dict key that is not a string goes to json.dumps."""
+    try:
+        return _json_layout(obj, "\n")
+    except TypeError:  # a key to convert, or a value json.dumps refuses with its own message
+        return json.dumps(obj, indent=2)
+
+
+def _json_layout(obj, indent: str) -> str:
+    """_json_dumps of obj at the given newline-and-indentation."""
+    if type(obj) is int or type(obj) is float and math.isfinite(obj):
+        return repr(obj)
+    if obj is None:
+        return "null"
+    if not isinstance(obj, (list, tuple, dict)) or not obj:
+        return json.dumps(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not all(isinstance(k, str) for k in obj):
+            raise TypeError("a key json.dumps converts")
+        parts = [encode_basestring_ascii(k) + ": " + _json_layout(v, inner) for k, v in obj.items()]
+    elif all(type(v) is float for v in obj) and math.isfinite(sum(obj)):
+        parts = map(float.__repr__, obj)
+    else:
+        parts = [_json_layout(v, inner) for v in obj]
+    ends = "{}" if isinstance(obj, dict) else "[]"
+    return ends[0] + inner + ("," + inner).join(parts) + indent + ends[1]
 
 
 @dataclass(frozen=True)
@@ -94,9 +127,10 @@ class ModelParams:
     epsilon: float
     length_L: float
     height_h: float
+    _NAMES = ("beta", "epsilon", "length_L", "height_h")  # the fields, as JSON keys
 
     def __post_init__(self) -> None:
-        for name in ("beta", "epsilon", "length_L", "height_h"):
+        for name in self._NAMES:
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
                 raise InvariantError(f"ModelParams.{name} must be positive and finite, got {v!r}")
@@ -106,17 +140,11 @@ class ModelParams:
         return self.beta * self.epsilon ** (-1.0 / 3.0) * self.length_L ** (1.0 / 3.0)
 
     def to_json(self) -> dict:
-        return {
-            "beta": self.beta,
-            "epsilon": self.epsilon,
-            "length_L": self.length_L,
-            "height_h": self.height_h,
-        }
+        return {name: getattr(self, name) for name in self._NAMES}
 
     @classmethod
     def from_json(cls, data: dict) -> "ModelParams":
-        names = ("beta", "epsilon", "length_L", "height_h")
-        return cls(*(_json_number(_json_field(data, n, "params"), f"params.{n}") for n in names))
+        return cls(*(_json_number(_json_field(data, n, "params"), f"params.{n}") for n in cls._NAMES))
 
 
 def _merge_degenerate(corners: list[float], initial_slope: int, period: float) -> tuple[list[float], int]:
@@ -128,24 +156,17 @@ def _merge_degenerate(corners: list[float], initial_slope: int, period: float) -
     slope at y = 0.
     """
     tol = MERGE_TOL * period
-    changed = True
-    while changed and len(corners) >= 2:
-        changed = False
-        m = len(corners)
-        for j in range(m):
-            nxt = (j + 1) % m
-            gap = corners[nxt] - corners[j] if nxt > j else corners[nxt] + period - corners[j]
-            if gap < tol:
-                if nxt > j:
-                    del corners[nxt]
-                    del corners[j]
-                else:
-                    # wrap pair (last, first): the segment through y=0 vanishes
-                    del corners[m - 1]
-                    del corners[0]
-                    initial_slope = -initial_slope
-                changed = True
-                break
+    while len(corners) >= 2:
+        # the first short segment in order, the wrap segment last
+        j = next((j for j in range(len(corners) - 1) if corners[j + 1] - corners[j] < tol), None)
+        if j is not None:
+            del corners[j : j + 2]
+        elif corners[0] + period - corners[-1] < tol:
+            # wrap pair (last, first): the segment through y=0 vanishes
+            del corners[-1], corners[0]
+            initial_slope = -initial_slope
+        else:
+            break
     return corners, initial_slope
 
 
@@ -193,7 +214,9 @@ class SawtoothProfile:
         object.__setattr__(self, "offset", float(self.offset))
         # segment j runs from corner j to corner j+1, cyclically
         c = np.asarray(cs)
-        gaps = np.diff(np.append(c, c[0] + h))
+        gaps = np.empty(len(cs))
+        np.subtract(c[1:], c[:-1], out=gaps[:-1])
+        gaps[-1] = (c[0] + h) - c[-1]
         slopes = (slope if cs[0] == 0.0 else -slope) * (-1.0) ** np.arange(len(cs))
         # rising and falling segments must each cover half the period
         defect = float(np.dot(slopes, gaps))
@@ -378,7 +401,7 @@ class Configuration:
         return cls(params, stations, tuple(profiles))
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=2)
+        return _json_dumps(self.to_json())
 
 
 @dataclass(frozen=True)
@@ -389,9 +412,10 @@ class EnergyBreakdown:
     strain: float
     surface: float
     total: float
+    _NAMES = ("austenite", "strain", "surface", "total")  # the fields, as JSON keys
 
     def __post_init__(self) -> None:
-        for name in ("austenite", "strain", "surface", "total"):
+        for name in self._NAMES:
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise InvariantError(f"EnergyBreakdown.{name} must be finite, got {v!r}")
@@ -405,33 +429,14 @@ class EnergyBreakdown:
         return cls(austenite, strain, surface, austenite + strain + surface)
 
     def to_json(self) -> dict:
-        return {
-            "austenite": self.austenite,
-            "strain": self.strain,
-            "surface": self.surface,
-            "total": self.total,
-        }
+        return {name: getattr(self, name) for name in self._NAMES}
 
 
 # -- free-function operations ------------------------------------------------
 
 
-def fourier_coefficient(profile: SawtoothProfile, k: int) -> complex:
-    """Coefficient (1/h) * integral of u(y) exp(-2 pi i k y / h) dy.
-
-    For k != 0 the second derivative of a sawtooth is a sum of point
-    masses of weight +-2 at the corners, which integrates the oscillatory
-    factor exactly:
-
-        uhat(k) = -(1 / (h w^2)) * sum_j (2 s_j) exp(-i w c_j),  w = 2 pi k / h.
-    """
-    if k == 0:
-        return complex(profile.mean())
-    return complex(fourier_coefficients(profile, np.asarray([k]))[0])
-
-
 def fourier_coefficients(profile: SawtoothProfile, ks: np.ndarray) -> np.ndarray:
-    """Vectorized fourier_coefficient for an integer array ks (no k = 0)."""
+    """uhat(k) = -(1 / (h w^2)) sum_j 2 s_j exp(-i w c_j), w = 2 pi k / h, at nonzero integer ks."""
     ks = np.asarray(ks)
     if np.any(ks == 0):
         raise InvariantError("fourier_coefficients expects nonzero modes")

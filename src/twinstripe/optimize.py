@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -324,6 +324,8 @@ class _RelaxState:
     Moves that hand whole profiles to stations (neighbor copies, uniform
     and topology moves) are priced by ``delta`` from ``l2_distance`` and
     the pair sum.
+    The boundary term is not stored: it is summed when read, once per
+    profile object (``h_half_sq`` keeps it on the profile).
     """
 
     def __init__(self, config: Configuration):
@@ -339,12 +341,8 @@ class _RelaxState:
         # padded with y = inf past the cell's last node
         self.table = np.zeros((5, n - 1, 1))
         self.table[0] = np.inf
-        self.austenite = self._austenite(self.profiles[0])
         self.single_surface = 0.0
         self.apply(dict(enumerate(self.profiles)))
-
-    def _austenite(self, prof: SawtoothProfile) -> float:
-        return self.params.beta * h_half_sq(prof)
 
     def _surfaces(self, cells) -> list[float]:
         """Surface term of each cell: epsilon dx_c times its larger corner count."""
@@ -383,6 +381,10 @@ class _RelaxState:
         return self.table[:, c, :k]
 
     @property
+    def austenite(self) -> float:
+        return self.params.beta * h_half_sq(self.profiles[0])
+
+    @property
     def total(self) -> float:
         return self.austenite + sum(self.strain) + sum(self.surface) + self.single_surface
 
@@ -416,7 +418,8 @@ class _RelaxState:
             delta += d * d / self.dx[c] - self.strain[c]
             delta += surface - self.surface[c]
         if self.profiles[0] is not old[0]:
-            delta += self._austenite(self.profiles[0]) - self.austenite
+            beta = self.params.beta
+            delta += beta * h_half_sq(self.profiles[0]) - beta * h_half_sq(old[0])
         if len(old) == 1:
             delta += self._single_surface() - self.single_surface
         self.profiles = old
@@ -497,15 +500,12 @@ class _RelaxState:
 
     def apply(self, updates: dict[int, SawtoothProfile]) -> None:
         """Set the given stations' profiles; each touched cell is rebuilt once."""
-        first = self.profiles[0]
         for j, prof in updates.items():
             self.profiles[j] = prof
         cells = self._touched(updates)
         for c, surface in zip(cells, self._surfaces(cells)):
             self.strain[c] = self._table_cell(c)
             self.surface[c] = surface
-        if self.profiles[0] is not first:
-            self.austenite = self._austenite(self.profiles[0])
         if len(self.profiles) == 1:
             self.single_surface = self._single_surface()
 
@@ -620,6 +620,15 @@ _TOPOLOGY_MOVES = (
 )
 
 
+@dataclass
+class _RelaxRun:
+    """One descent: its starting total, accepted move count and total after each sweep."""
+
+    initial: float
+    accepted: int = 0
+    sweep_totals: list[float] = field(default_factory=list)
+
+
 def relax(
     start: Configuration,
     opts: RelaxOptions,
@@ -649,17 +658,26 @@ def relax(
     Moves that cannot be accepted are not priced: a copy of a station's
     own profile, and the pair shifts of a station j > 0 between copies of
     its own profile.
+
+    A given ``history`` gets the starting total and the total after each
+    accepted move, which costs a boundary pair sum per station-0 accept.
     """
+    return _descend(start, opts, history)[0]
+
+
+def _descend(
+    start: Configuration, opts: RelaxOptions, history: list[float] | None
+) -> tuple[Configuration, _RelaxRun]:
+    """``relax`` and the record of its run."""
     state = _RelaxState(start)
+    run = _RelaxRun(state.total)
     if history is not None:
-        history.append(state.total)
-    floor = 1e-15 * max(1.0, abs(state.total))
-    accepted = False
+        history.append(run.initial)
+    floor = 1e-15 * max(1.0, abs(run.initial))
 
     def accept(updates: dict[int, SawtoothProfile]) -> None:
-        nonlocal accepted
         state.apply(updates)
-        accepted = True
+        run.accepted += 1
         if history is not None:
             history.append(state.total)
 
@@ -721,8 +739,7 @@ def relax(
 
     n = len(state.profiles)
     for sweep in range(opts.max_iters):
-        before = state.total
-        accepted = False
+        before, accepted = state.total, run.accepted
         order = range(n) if sweep % 2 == 0 else range(n - 1, -1, -1)
         for j in order:
             near = [k for k in (j - 1, j + 1) if 0 <= k < n]
@@ -754,9 +771,10 @@ def relax(
         if n > 1 and len({len(p.corners) for p in state.profiles}) == 1:
             for i in range(len(state.profiles[0].corners) - 1):
                 column_move(i)
-        if not accepted or before - state.total < opts.tol_energy:
+        run.sweep_totals.append(state.total)
+        if run.accepted == accepted or before - run.sweep_totals[-1] < opts.tol_energy:
             break
-    return state.config()
+    return state.config(), run
 
 
 # -- phase sweep ----------------------------------------------------------------
@@ -772,18 +790,11 @@ class SweepRow:
     e_relaxed: float | None
     winner: str
     m_star: int
+    # the fields as JSON keys and CSV columns
+    _COLUMNS = ("beta", "epsilon", "sigma", "E_striped", "E_branched", "E_relaxed", "winner", "m_star")
 
     def to_json(self) -> dict:
-        return {
-            "beta": self.beta,
-            "epsilon": self.epsilon,
-            "sigma": self.sigma,
-            "E_striped": self.e_striped,
-            "E_branched": self.e_branched,
-            "E_relaxed": self.e_relaxed,
-            "winner": self.winner,
-            "m_star": self.m_star,
-        }
+        return dict(zip(self._COLUMNS, astuple(self)))
 
 
 @dataclass(frozen=True)
@@ -803,7 +814,7 @@ class SweepResult:
     c_lower: float
 
     def to_csv(self) -> str:
-        lines = ["beta,epsilon,sigma,E_striped,E_branched,E_relaxed,winner,m_star"]
+        lines = [",".join(SweepRow._COLUMNS)]
         for r in self.rows:
             relaxed = "" if r.e_relaxed is None else repr(r.e_relaxed)
             lines.append(
@@ -860,9 +871,7 @@ def _sweep_point(
             start = branched_candidate(p, 1)
         else:
             start = striped_candidate(p, stations=16)
-        ledger: list[float] = []
-        relax(start, relax_opts, ledger)
-        e_relaxed = entries["relaxed"] = ledger[-1]
+        e_relaxed = entries["relaxed"] = _descend(start, relax_opts, None)[1].sweep_totals[-1]
     best = min(entries.values())
     winners = [name for name, v in entries.items() if v == best]
     winner = winners[0] if len(winners) == 1 else "degenerate"

@@ -35,6 +35,17 @@ from twinstripe.model_core import (
 from twinstripe.one_dim import C0, CS, optimal_even_m
 
 
+def fourier_coefficient(profile, k: int) -> complex:
+    """Coefficient (1/h) * integral of u(y) exp(-2 pi i k y / h) dy.
+
+    The mean for k = 0, else the corner-mass closed form of
+    model_core.fourier_coefficients at the one mode k.
+    """
+    if k == 0:
+        return complex(profile.mean())
+    return complex(fourier_coefficients(profile, np.asarray([k]))[0])
+
+
 def quad_fourier_coefficient(profile, k: int, nodes: int = 10**6) -> complex:
     """Midpoint-rule coefficient (1/h) int u(y) e^{-2 pi i k y/h} dy."""
     h = profile.period
@@ -233,6 +244,33 @@ def _corner_values(p):
     vals[0] = v0
     vals[1:] = v0 + np.cumsum(s[:-1] * np.diff(c))
     return vals
+
+
+def merge_degenerate_reference(corners, initial_slope: int, period: float):
+    """The corner merge as one rescan per dropped pair: the first pair
+    (wrap pair last) closer than MERGE_TOL * period goes, until none is."""
+    from twinstripe.model_core import MERGE_TOL
+
+    corners = list(corners)
+    tol = MERGE_TOL * period
+    changed = True
+    while changed and len(corners) >= 2:
+        changed = False
+        m = len(corners)
+        for j in range(m):
+            nxt = (j + 1) % m
+            gap = corners[nxt] - corners[j] if nxt > j else corners[nxt] + period - corners[j]
+            if gap < tol:
+                if nxt > j:
+                    del corners[nxt]
+                    del corners[j]
+                else:
+                    del corners[m - 1]
+                    del corners[0]
+                    initial_slope = -initial_slope
+                changed = True
+                break
+    return corners, initial_slope
 
 
 def evaluate_reference(p, y):

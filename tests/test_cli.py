@@ -8,12 +8,13 @@ import inspect
 import json
 import math
 import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import twinstripe
-from twinstripe import cli
+from twinstripe import cli, model_core
 from twinstripe.cli import main
 from twinstripe.energy import total_energy
 from twinstripe.model_core import Configuration, ModelParams, NonConvergenceError
@@ -609,3 +610,61 @@ def test_certify_output_is_strict_json(tmp_path, capsys):
 
     payload = json.loads(out, parse_constant=refuse)
     assert None in [entry["interpolation_ratio"] for entry in payload["intervals"]]
+
+
+# -- the JSON writer ----------------------------------------------------------------
+
+
+def _checked_json_writer(monkeypatch) -> list:
+    """Check every JSON text the program writes against json.dumps(indent=2)."""
+    written, writer = [], model_core._json_dumps
+
+    def checked(obj):
+        text = writer(obj)
+        assert text == json.dumps(obj, indent=2)
+        written.append(obj)
+        return text
+
+    monkeypatch.setattr(cli, "_json_dumps", checked)
+    monkeypatch.setattr(model_core, "_json_dumps", checked)
+    return written
+
+
+def test_every_subcommand_writes_what_json_dumps_writes(tmp_path, capsys, monkeypatch):
+    written = _checked_json_writer(monkeypatch)
+    path, _ = write_striped(tmp_path)
+    runs = (
+        ["energy", "--config", str(path)],
+        ["optimal-stripes", "--beta", "1", "--epsilon", "1e-4"],
+        ["relax", "--config", str(path), "--max-iters", "2"],
+        ["branched", "--beta", "1", "--epsilon", "1e-2", "--levels", "2",
+         "--state-out", str(tmp_path / "state.json")],
+        ["sweep", "--betas", "0.01,1", "--epsilons", "1e-3", "--compare",
+         "striped,branched,relaxed", "--format", "json"],
+        ["verify-chessboard", "--trials", "2"],
+        ["certify", "--config", str(path)],
+    )
+    for argv in runs:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and not err, argv
+        assert out == json.dumps(written[-1], indent=2) + "\n"
+    assert len(written) == 1 + len(runs) + 1  # and the start file and the branched state
+
+
+def test_bench_ops_write_what_json_dumps_writes(tmp_path, capsys, monkeypatch):
+    # one seeded round of each benchmark workload: its configuration files
+    # and every op's payload (sweep ops asked for JSON instead of CSV)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import workloads
+
+    written = _checked_json_writer(monkeypatch)
+    for name in ("relax", "sweep", "verify", "certify"):
+        _, (ops,) = workloads.build(name, 77, 1, tmp_path)
+        for op in ops:
+            if "--config" in op.argv:
+                text = Path(op.argv[op.argv.index("--config") + 1]).read_text(encoding="utf-8")
+                assert text == json.dumps(json.loads(text), indent=2)
+            argv = op.argv + (["--format", "json"] if name == "sweep" else [])
+            before = len(written)
+            assert run_cli(capsys, *argv)[0] == 0, argv
+            assert len(written) == before + 1

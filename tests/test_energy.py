@@ -1,12 +1,14 @@
 """Energy module: spectral vs real-space half-norm, extension energy,
 strain and surface terms."""
 
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from twinstripe import chessboard as cb
 from twinstripe import energy
 from twinstripe.model_core import (
     Configuration,
@@ -369,3 +371,42 @@ def test_total_energy_breakdown_and_invariance():
     )
     b2 = total_energy(cfg2)
     assert b2.total == pytest.approx(b.total, rel=1e-10)
+
+
+def test_h_half_sq_is_summed_once_per_profile_object(monkeypatch):
+    sums = []
+
+    def counting_inner(f, g):
+        sums.append(f)
+        return h_half_inner(f, g)
+
+    monkeypatch.setattr(energy, "h_half_inner", counting_inner)
+    prof = random_profile(np.random.default_rng(31), 1.0, 5)
+    shown = (repr(prof), prof.to_json())
+    first = h_half_sq(prof)
+    assert all(h_half_sq(prof) == first for _ in range(4))
+    assert sums == [prof]
+    # the memo shows in no field: ==, repr and to_json are as before
+    assert (repr(prof), prof.to_json()) == shown
+    assert prof == dataclasses.replace(prof)
+    # copies are new objects and sum their own; the offset does not enter
+    for copy in (prof.with_offset_shift(0.25), dataclasses.replace(prof)):
+        assert h_half_sq(copy) == first and sums[-1] is copy
+    assert len(sums) == 3
+
+
+@pytest.mark.parametrize(
+    "coeffs,top",
+    [
+        (energy._CL3_SERIES, 0.25),  # (theta / 2 pi)^2 for theta in [0, pi]
+        (energy._CL2_SERIES, 0.25),
+        (cb._P2_DESC, 0.5),  # the cell integrals' series run below x = 1/2
+        (cb._P4_DESC, 0.5),
+    ],
+)
+def test_horner_equals_polyval_bit_for_bit(coeffs, top):
+    ends = [0.0, top, np.nextafter(top, 0.0)]
+    xs = np.concatenate((ends, np.random.default_rng(3).uniform(0.0, top, 500)))
+    assert np.array_equal(energy._horner(coeffs, xs), np.polyval(coeffs, xs))
+    for x in xs[:4]:
+        assert energy._horner(coeffs, np.asarray(x)) == np.polyval(coeffs, x)

@@ -944,3 +944,31 @@ def test_normalization_preserves_energy_up_to_scale():
     assert before.austenite == pytest.approx(scale * after.austenite, rel=1e-9)
     assert before.strain == pytest.approx(scale * after.strain, rel=1e-12)
     assert before.surface == pytest.approx(scale * after.surface, rel=1e-12)
+
+
+def test_normalization_returns_a_normalized_configuration_itself():
+    config = striped_candidate(ModelParams(2e-2, 1e-3, 1.0, 1.0), stations=4)
+    norm, scale = loc.normalize_configuration(config)
+    assert norm is config and scale == 1.0
+    # a period 1e-13 short of h passes the configuration check but is not
+    # exactly 1.0, so the profiles are rebuilt at period 1.0, still shared
+    prof = config.profiles[0]
+    short = SawtoothProfile(1.0 - 1e-13, prof.offset, prof.initial_slope, prof.corners)
+    near = Configuration(config.params, config.stations, (short,) * 4)
+    norm, scale = loc.normalize_configuration(near)
+    assert norm is not near and scale == 1.0
+    assert norm.profiles[0].period == 1.0 and norm.profiles[0] is not short
+    assert all(p is norm.profiles[0] for p in norm.profiles)
+    assert norm.params == near.params and norm.stations == near.stations
+
+
+@pytest.mark.parametrize("teeth", [2, 3, 7])
+def test_partition_neighbors_gather_what_np_roll_gives(teeth):
+    part = loc.build_partition(random_profile(np.random.default_rng(teeth), 1.0, teeth))
+    assert part.count == teeth
+    prev2, prev, nxt = part._neighbors
+    assert part._neighbors is part._neighbors  # built once per partition
+    x = np.random.default_rng(5).random(teeth)
+    assert np.array_equal(x[prev2], np.roll(x, 2))
+    assert np.array_equal(x[prev], np.roll(x, 1))
+    assert np.array_equal(x[nxt], np.roll(x, -1))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -13,8 +14,10 @@ from twinstripe.model_core import (
     InvariantError,
     ModelParams,
     SawtoothProfile,
-    fourier_coefficient,
     fourier_coefficients,
+    _json_dumps,
+    _json_numbers,
+    _merge_degenerate,
     _merged_nodes,
     l2_distance,
     random_profile,
@@ -24,8 +27,10 @@ from twinstripe.localization import IntervalPartition, _interval_l2_sq
 
 from oracles import (
     evaluate_reference,
+    fourier_coefficient,
     l2_distance_reference,
     load_configuration,
+    merge_degenerate_reference,
     nodes_reference,
     quad_fourier_coefficient,
     quad_l2_distance,
@@ -78,6 +83,44 @@ def test_degenerate_corners_merge_pairwise():
     assert p.interface_count() == 2
     # corner count stays even after the merge
     assert p.interface_count() % 2 == 0
+
+
+def test_merge_matches_the_rescanning_reference():
+    # clusters of near-coincident corners, also across the wrap, merge as
+    # the rescanning loop merged them, pair by pair and in the same order
+    rng = np.random.default_rng(17)
+    tiny = 1e-13
+    for trial in range(400):
+        base = np.sort(rng.uniform(0.0, 1.0, int(rng.integers(1, 6))))
+        picks = [[c + tiny * k for k in range(int(rng.integers(1, 4)))] for c in base]
+        corners = sorted(c % 1.0 for group in picks for c in group)
+        if trial % 3 == 0:  # short pairs on both sides of the wrap: the inner one goes first
+            corners = sorted([0.0, tiny] + corners + [1.0 - tiny / 2])
+        elif trial % 3 == 1:  # a pair straddling y = 0
+            corners = sorted([0.0] + corners + [1.0 - tiny / 2])
+        slope = int(rng.choice([-1, 1]))
+        expected = merge_degenerate_reference(corners, slope, 1.0)
+        assert _merge_degenerate(list(corners), slope, 1.0) == expected, corners
+
+
+def test_constructor_arrays_equal_the_diff_form():
+    rng = np.random.default_rng(29)
+    profiles = [random_profile(rng, float(rng.uniform(0.2, 3.0))) for _ in range(498)]
+    profiles.append(SawtoothProfile(1.0, 0.1, -1, (0.0, 0.3, 0.5, 0.7)))  # a corner at 0
+    merged = SawtoothProfile(1.0, 0.0, 1, (0.1, 0.35, 0.6, 0.6 + 1e-14, 0.7, 0.95))
+    assert merged.corners == (0.1, 0.35, 0.7, 0.95)
+    profiles.append(merged)
+    for p in profiles:
+        c, h = np.asarray(p.corners), p.period
+        gaps = np.diff(np.append(c, c[0] + h))
+        slopes = (p.initial_slope if c[0] == 0.0 else -p.initial_slope) * (-1.0) ** np.arange(len(c))
+        vals = np.empty(len(c))
+        vals[0] = p.offset + p.initial_slope * c[0]
+        vals[1:] = vals[0] + np.cumsum(slopes[:-1] * gaps[:-1])
+        assert np.array_equal(p._gaps(), gaps)
+        assert np.array_equal(p.slope_after_corners(), slopes)
+        assert np.array_equal(p.corner_values(), vals)
+        assert not p._gaps().flags.writeable
 
 
 def test_periodicity_closure():
@@ -410,6 +453,41 @@ def test_loader_shares_consecutive_bit_identical_profiles():
         assert back.profiles[0] is not back.profiles[1]
         assert back.profiles[1] is back.profiles[2]
         assert back.dumps() == text
+
+
+JSON_EDGE_VALUES = [
+    math.nan, math.inf, -math.inf, -0.0, 0.0, 1e308, -1e308, 5e-324, 0.1, 7, -3, 0, 2**70,
+    True, False, None, "", "plain", "\u00e9\u2603 \"quoted\"\n\t\\", [], {}, [[]], [{}], {"a": []},
+    {"a": {}, "b": [[], {}]}, np.float64(0.1), np.float64(-0.0), [np.float64(0.5), 1.0],
+    [1.0, math.nan, 2.0], [math.inf, -math.inf], [1e308, 1e308], [0.5, 1, True, None],
+    (1.0, 2.0), {"\u00e9l\u00e8ve": [1.0, -0.0], "\u043a\u043b\u044e\u0447": {"x": (0.25,)}},
+    {"nested": [{"k": [1.5, {"deep": [None, False]}]}]},
+    {1: "int key", 2.5: [1.0], None: {}, True: 0.5},  # keys json.dumps converts
+]
+
+
+@pytest.mark.parametrize("value", JSON_EDGE_VALUES, ids=range(len(JSON_EDGE_VALUES)))
+def test_json_writer_equals_json_dumps_indent_2(value):
+    assert _json_dumps(value) == json.dumps(value, indent=2)
+
+
+def test_json_writer_refuses_what_json_dumps_refuses():
+    for bad in (np.int64(3), [np.array([1.0])], {"a": object()}, {(1, 2): 1.0}):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(bad, indent=2)
+        with pytest.raises(TypeError) as got:
+            _json_dumps(bad)
+        assert str(got.value) == str(expected.value)
+
+
+def test_json_numbers_fast_path_keeps_the_checked_values_and_messages():
+    assert _json_numbers([0.5, -0.0, 1e308, 1e308], "c") == (0.5, -0.0, 1e308, 1e308)
+    assert _json_numbers([1, 0.5], "c") == (1.0, 0.5) and _json_numbers([], "c") == ()
+    for bad, message in (([0.5, math.nan], "c[1] must be finite"),
+                         ([math.inf, 0.5], "c[0] must be finite"),
+                         ([0.5, True], "c[1] must be a number")):
+        with pytest.raises(InvariantError, match=re.escape(message)):
+            _json_numbers(bad, "c")
 
 
 def test_energy_breakdown_consistency():

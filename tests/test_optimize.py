@@ -13,7 +13,7 @@ from twinstripe.model_core import (
     l2_distance,
     random_profile,
 )
-from twinstripe.energy import strain_energy, surface_energy, total_energy
+from twinstripe.energy import h_half_inner, strain_energy, surface_energy, total_energy
 from twinstripe.one_dim import C0, e1d, make_w_m, optimal_even_m
 from twinstripe import optimize as op
 
@@ -228,6 +228,39 @@ def test_relax_is_deterministic():
     assert a.profiles == b.profiles
 
 
+def test_relax_sums_the_boundary_term_only_where_it_is_read(monkeypatch):
+    # without a history, the pair sum of h_half_sq runs at most once per
+    # sweep end (plus the start), and twice per whole-profile move priced
+    # at station 0; station-0 pair shifts are accepted far more often
+    start = jittered_striped(ModelParams(1.0, 1e-2, 1.0, 1.0), 14, 3, seed=2)
+    opts = op.RelaxOptions(max_iters=3)
+    sums, whole, accepts_at_0 = [], [], []
+    delta, apply = op._RelaxState.delta, op._RelaxState.apply
+
+    def counting_inner(f, g):
+        sums.append(f)
+        return h_half_inner(f, g)
+
+    def counting_delta(self, updates):
+        if 0 in updates and updates[0] is not self.profiles[0]:
+            whole.append(updates)
+        return delta(self, updates)
+
+    def counting_apply(self, updates):
+        if 0 in updates and updates[0] is not self.profiles[0]:
+            accepts_at_0.append(updates)
+        apply(self, updates)
+
+    monkeypatch.setattr("twinstripe.energy.h_half_inner", counting_inner)
+    monkeypatch.setattr(op._RelaxState, "delta", counting_delta)
+    monkeypatch.setattr(op._RelaxState, "apply", counting_apply)
+    final = op.relax(start, opts)
+    assert len(sums) <= opts.max_iters + 1 + 2 * len(whole)
+    assert len(accepts_at_0) > 2 * (opts.max_iters + 1 + 2 * len(whole))
+    monkeypatch.undo()
+    assert final.profiles == op.relax(start, opts, history=[]).profiles
+
+
 # Accepted-move counts and final energies of the descent before probes
 # were priced from the moment tables (each probe built the moved profile
 # and re-integrated its cells).  Exact pricing changes only rounding, so
@@ -249,6 +282,20 @@ def test_relax_accepts_the_recorded_moves(stations, seed, max_iters):
     moves, total = RECORDED_DESCENTS[(stations, seed, max_iters)]
     assert len(hist) - 1 == moves
     assert abs(hist[-1] - total) <= 1e-12 * total
+
+
+@pytest.mark.parametrize("stations,seed,max_iters", sorted(RECORDED_DESCENTS))
+def test_run_record_matches_the_per_accept_history(stations, seed, max_iters):
+    params = ModelParams(1e-2, 1e-3, 1.0, 1.0)
+    start = jittered_striped(params, optimal_even_m(params).m_star[0], stations, seed=seed)
+    opts = op.RelaxOptions(max_iters=max_iters)
+    hist = []
+    with_history = op.relax(start, opts, history=hist)
+    final, run = op._descend(start, opts, None)
+    assert final.profiles == with_history.profiles
+    assert (run.initial, run.accepted, run.sweep_totals[-1]) == (hist[0], len(hist) - 1, hist[-1])
+    assert all(b <= a for a, b in zip([run.initial] + run.sweep_totals, run.sweep_totals))
+    assert len(run.sweep_totals) <= max_iters
 
 
 # The same for a descent with topology moves: (accepted moves, accepted
