@@ -220,6 +220,4 @@ def total_energy(config: Configuration) -> EnergyBreakdown:
     the corner-pair sum h_half_sq of the x = 0 trace.
     """
     austenite = config.params.beta * h_half_sq(config.boundary_profile)
-    return EnergyBreakdown.from_parts(
-        austenite, strain_energy(config), surface_energy(config)
-    )
+    return EnergyBreakdown(austenite, strain_energy(config), surface_energy(config))

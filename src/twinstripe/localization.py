@@ -43,7 +43,7 @@ from .model_core import (
     SawtoothProfile,
     _merge_degenerate,
 )
-from .one_dim import C0, optimal_even_m
+from .one_dim import _EPS, C0, _order, optimal_even_m
 
 __all__ = [
     "DEFAULT_ETA",
@@ -716,13 +716,13 @@ def normalize_configuration(config: Configuration) -> tuple[Configuration, float
 class CertificateReport:
     """Outcome of the localized lower-bound evaluation.
 
-    ``excess`` is sum_k F_k - cbar * beta * sum_k err_k with the
-    measured cbar; a candidate with positive excess cannot be a
-    minimizer in the striped regime.  The mismatch pairing is reported
-    by two exact routes that agree to rounding: ``pairing_quadrature``
-    sums the per-interval closed forms, and ``pairing_spectral`` is the
-    global corner-pair sum h_half_inner(w, u0) - h_half_sq(w).  Both
-    names predate the closed forms.
+    ``excess`` is sum_k F_k - cbar * beta * sum_k err_k with the measured
+    cbar, and ``certified`` holds unless it is negative beyond its rounding
+    bound; a candidate with positive excess cannot be a minimizer in the
+    striped regime.  The mismatch pairing has two exact routes that agree
+    to rounding: ``pairing_quadrature`` sums the per-interval closed forms,
+    and ``pairing_spectral`` is the corner-pair sum h_half_inner(w, u0) -
+    h_half_sq(w).  Both names predate the closed forms.
     """
 
     m: int
@@ -799,17 +799,17 @@ def certificate_check(
 ) -> CertificateReport:
     """Evaluate the localized contradiction quantity on a candidate.
 
-    Normalizes the geometry, builds the partition from the far trace
-    and the matching profile from the near trace, assembles the local
-    energy shares and error terms, and reports whether the certificate
-    quantity (local energy minus measured error bound) is nonnegative.
+    Normalizes the geometry, builds the partition from the far trace and
+    the matching profile from the near trace, assembles the local energy
+    shares and error terms, and reports whether the certificate quantity
+    (local energy minus measured error bound) is nonnegative up to its
+    rounding bound, (K + 2) eps times the sum of its terms' absolute values.
     The per-interval ratio bounding the comparison mismatch by the
     distance between the two traces is measured and reported, never
     assumed.  Every per-interval L2 window (strain per x-cell, mismatch,
-    the ratio's denominator) is one ``_interval_l2_sq`` call over a
-    merged grid of the profile pair; the ratio's numerator is the
-    mismatch of the error terms, priced once.  eta and kappa must be
-    positive and finite.
+    the ratio's denominator) is one ``_interval_l2_sq`` call over a merged
+    grid of the profile pair; the ratio's numerator is the mismatch of the
+    error terms, priced once.  eta and kappa must be positive and finite.
     """
     norm, scale = normalize_configuration(u)
     u0 = norm.profiles[0]
@@ -839,9 +839,10 @@ def certificate_check(
     sum_f0 = float(sum(t.f0 for t in terms))
     sum_f1 = float(sum(t.f1 for t in terms))
     sum_f2 = float(sum(t.f2 for t in terms))
-    err_total = float(sum(e.err for e in errors))
-    excess = (sum_f0 + sum_f1 + sum_f2) - cbar * norm.params.beta * err_total
-    scale_ref = max(1.0, abs(sum_f0 + sum_f1 + sum_f2))
+    charge = cbar * norm.params.beta * float(sum(e.err for e in errors))
+    excess = (sum_f0 + sum_f1 + sum_f2) - charge
+    # its rounding: two K-term sums and their difference (Higham 2002, sec. 4.2)
+    size = sum(abs(t.f0) + abs(t.f1) + abs(t.f2) for t in terms) + charge
     return CertificateReport(
         m=part.m_corners,
         m_star=int(optimal_even_m(norm.params).m_star[0]),
@@ -863,5 +864,5 @@ def certificate_check(
         cbar=cbar,
         interpolation_ratios=tuple(ratios),
         excess=excess,
-        certified=excess >= -1e-12 * scale_ref,
+        certified=_order(excess, (len(terms) + 2) * _EPS * size) >= 0,
     )

@@ -406,27 +406,22 @@ class Configuration:
 
 @dataclass(frozen=True)
 class EnergyBreakdown:
-    """Energy split into its three contributions plus their sum."""
+    """Energy split into its three contributions; the total is their sum."""
 
     austenite: float
     strain: float
     surface: float
-    total: float
-    _NAMES = ("austenite", "strain", "surface", "total")  # the fields, as JSON keys
+    _NAMES = ("austenite", "strain", "surface", "total")  # the parts and their sum, as JSON keys
 
     def __post_init__(self) -> None:
         for name in self._NAMES:
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise InvariantError(f"EnergyBreakdown.{name} must be finite, got {v!r}")
-        s = self.austenite + self.strain + self.surface
-        scale = max(abs(s), abs(self.total), 1e-300)
-        if abs(s - self.total) > 1e-12 * scale:
-            raise InvariantError("EnergyBreakdown.total must equal the sum of its parts")
 
-    @classmethod
-    def from_parts(cls, austenite: float, strain: float, surface: float) -> "EnergyBreakdown":
-        return cls(austenite, strain, surface, austenite + strain + surface)
+    @property
+    def total(self) -> float:
+        return self.austenite + self.strain + self.surface
 
     def to_json(self) -> dict:
         return {name: getattr(self, name) for name in self._NAMES}

@@ -51,15 +51,15 @@ def _zeta(s: int, terms: int = 256) -> float:
 ZETA3 = _zeta(3)
 C0 = 14.0 * ZETA3 / math.pi**2
 CS = 2.0 * math.sqrt(C0)
+_EPS = float(np.finfo(float).eps)  # one rounding moves a value by at most _EPS / 2 of it
 
 
 @dataclass(frozen=True)
 class OneDimResult:
     """Optimal even interface count with its energy.
 
-    m_star lists every minimizer (two entries on an exact tie).
-    m_continuous is the unconstrained real minimizer sqrt(beta c0 h^2
-    / (eps L)) that the integer answer tracks.
+    m_star lists every minimizer, two when rounding cannot order them;
+    m_continuous = sqrt(beta c0 h^2 / (eps L)) is the real one it tracks.
     """
 
     m_star: tuple[int, ...]
@@ -68,7 +68,7 @@ class OneDimResult:
 
 
 def e1d(m: int, params: ModelParams) -> float:
-    """Striped energy at an even interface count m."""
+    """Striped energy at an even interface count m; its 5 roundings keep it within 5 _EPS."""
     if not isinstance(m, (int, np.integer)) or m < 2 or m % 2 != 0:
         raise InvariantError(f"interface count must be an even integer >= 2, got {m!r}")
     b, eps, L, h = params.beta, params.epsilon, params.length_L, params.height_h
@@ -95,18 +95,25 @@ def _striped_scales(params: ModelParams) -> tuple[float, float]:
     return num, den
 
 
+def _order(margin: float, bound: float) -> int:
+    """The one tie rule: the sign of margin, or 0 when |margin| <= bound, its rounding bound."""
+    return 0 if abs(margin) <= bound else (1 if margin > 0 else -1)
+
+
 def optimal_even_m(params: ModelParams) -> OneDimResult:
-    """Minimize e1d over even m, reporting every exact minimizer."""
+    """Minimize e1d over even m.  It is convex, so the even lo <= m_continuous or lo + 2 wins,
+    by the sign of ratio - lo (lo + 2), ratio = beta c0 h^2 / (eps L), not by rounded energies."""
     num, den = _striped_scales(params)
-    m_cont = math.sqrt(num / den)
-    base = max(2, 2 * int(m_cont // 2))
-    candidates = sorted({max(2, base + d) for d in (-4, -2, 0, 2, 4)})
-    values = [e1d(m, params) for m in candidates]
-    best = min(values)
+    ratio = num / den
+    m_cont = math.sqrt(ratio)
+    lo = max(2, 2 * int(m_cont // 2))
+    # ratio: 3 + 1 + 1 roundings; the product lo (lo + 2) 2 more, and it may overflow to inf
+    side = _order(ratio - float(lo) * (lo + 2), 8 * _EPS * ratio)
+    m_star = {-1: (lo,), 0: (lo, lo + 2), 1: (lo + 2,)}[side]
+    best = min(e1d(m, params) for m in m_star)
     if not best < math.inf:
         raise InvariantError(f"beta, epsilon, length_L, height_h: e1d overflows at {params}")
-    winners = tuple(m for m, v in zip(candidates, values) if v <= best * (1 + 1e-12))
-    return OneDimResult(m_star=winners, energy=best, m_continuous=m_cont)
+    return OneDimResult(m_star=m_star, energy=best, m_continuous=m_cont)
 
 
 def make_w_m(

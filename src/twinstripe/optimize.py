@@ -52,7 +52,7 @@ from .model_core import (
     l2_distance,
 )
 from .energy import h_half_sq, pair_sum
-from .one_dim import C0, e1d, make_w_m, optimal_even_m
+from .one_dim import _EPS, C0, _order, e1d, make_w_m, optimal_even_m
 
 __all__ = [
     "BAND_THETA",
@@ -131,7 +131,7 @@ class SweepGrid:
 def striped_candidate(params: ModelParams, stations: int = DEFAULT_STATIONS) -> Configuration:
     """Constant-in-x configuration carrying the optimal equispaced profile.
 
-    On an exact tie between two interface counts the smaller one is used.
+    Where rounding cannot order two interface counts the smaller is used.
     """
     if stations < 2:
         raise InvariantError("striped candidate needs at least 2 stations")
@@ -144,26 +144,20 @@ def striped_candidate(params: ModelParams, stations: int = DEFAULT_STATIONS) -> 
 # -- branched trial state ------------------------------------------------------
 
 
-def _equispaced(n_interfaces: int, h: float) -> SawtoothProfile:
-    return SawtoothProfile(h, 0.0, 1, tuple(h * np.arange(n_interfaces) / n_interfaces))
-
-
-def _doubling_profile(q: int, t: float, h: float) -> SawtoothProfile:
+def _doubling_profile(q: int, t: float, params: ModelParams) -> SawtoothProfile:
     """q-tooth pattern splitting each tooth in two as t runs 0 -> 1.
 
     Each cell of width P = h/q carries corners {0, P/2 - tP/4,
     3P/4 - tP/4, 3P/4}: at t = 0 the trailing pair is width zero and the
-    cell is a single tooth, at t = 1 the corners are equispaced at P/4.
-    Rise and fall lengths stay balanced for every t.
+    cell is a single tooth, as t -> 1 the corners approach equispacing at
+    P/4.  Rise and fall lengths stay balanced for every t < 1.
     """
-    p = h / q
+    p = params.height_h / q
     if t <= 0.0:
-        return _equispaced(2 * q, h)
-    if t >= 1.0:
-        return _equispaced(4 * q, h)
+        return make_w_m(2 * q, params)
     cell = np.array([0.0, p / 2.0 - t * p / 4.0, 0.75 * p - t * p / 4.0, 0.75 * p])
     corners = (np.add.outer(p * np.arange(q), cell)).ravel()
-    return SawtoothProfile(h, 0.0, 1, tuple(corners))
+    return SawtoothProfile(params.height_h, 0.0, 1, tuple(corners))
 
 
 def _admissible(levels: int, m0):
@@ -196,10 +190,10 @@ def _branched_layout(
     if not L * BAND_THETA**levels >= sys.float_info.min:
         raise InvariantError(f"length_L: the innermost band edge underflows at L={L!r}")
     if levels == 0:
-        prof = _equispaced(m0, h)
+        prof = make_w_m(m0, params)
         return (0.0, L), (prof, prof)
     xs: list[float] = [0.0, L * BAND_THETA**levels]
-    profs: list[SawtoothProfile] = [_equispaced(fine, h)] * 2
+    profs: list[SawtoothProfile] = [make_w_m(fine, params)] * 2
     for m in range(levels - 1, -1, -1):
         x_out = L * BAND_THETA**m
         x_in = L * BAND_THETA ** (m + 1)
@@ -207,7 +201,7 @@ def _branched_layout(
         for j in range(BAND_STATIONS - 1, -1, -1):
             t = j / BAND_STATIONS
             xs.append(x_out - t * (x_out - x_in))
-            profs.append(_doubling_profile(q, t, h))
+            profs.append(_doubling_profile(q, t, params))
     return tuple(xs), tuple(profs)
 
 
@@ -226,7 +220,8 @@ def _branched_scales(params: ModelParams) -> None:
 
 
 def _branched_parts(params: ModelParams, levels: int, m0):
-    """(austenite, strain, surface) of the layout in closed form, elementwise over m0."""
+    """(austenite, strain, surface) of the layout in closed form, elementwise over m0;
+    their sum rounds at most 9 times, 7 in the strain part and 2 in the sums."""
     h, L, b = params.height_h, params.length_L, BAND_STATIONS
     austenite = params.beta * C0 * h * h / (m0 * 2**levels)
     strain = levels * h**3 * (3 * b - 1) / (12 * b * m0**2 * L * (1.0 - BAND_THETA))
@@ -246,7 +241,7 @@ def _branched_breakdown(params: ModelParams, levels: int, m0: int) -> EnergyBrea
     costs the same strain.  Each band is charged at its doubled count,
     which sums to the surface factor 3 - 2^(1 - levels).
     """
-    return EnergyBreakdown.from_parts(*_branched_parts(params, levels, m0))
+    return EnergyBreakdown(*_branched_parts(params, levels, m0))
 
 
 def _best_m0(params: ModelParams, levels: int) -> int:
@@ -847,6 +842,11 @@ def _best_branched(params: ModelParams, levels_max: int) -> float:
     return min(_branched_breakdown(params, lv, m0).total for lv, m0 in picks)
 
 
+def _relaxed_bound(config: Configuration, energy: float) -> float:
+    """Rounding bound (2 m0^2 + n) eps E of a relax total E: m0 corners at x = 0, n stations."""
+    return (2 * len(config.profiles[0].corners) ** 2 + len(config.stations)) * _EPS * energy
+
+
 def _sweep_point(
     beta: float,
     epsilon: float,
@@ -859,21 +859,20 @@ def _sweep_point(
     m_star = optimal_even_m(p).m_star[0]
     e_striped = e1d(m_star, p)
     e_branched = _best_branched(p, levels_max)
-    entries = {}
-    if "striped" in compare:
-        entries["striped"] = e_striped
-    if "branched" in compare:
-        entries["branched"] = e_branched
+    # each candidate with its rounding bound (Higham 2002, sec. 4.2); see e1d, _branched_parts
+    closed = (("striped", e_striped, 5), ("branched", e_branched, 9))
+    entries = {name: (e, k * _EPS * e) for name, e, k in closed if name in compare}
     e_relaxed = None
     if "relaxed" in compare:
         start_name = min(entries, key=entries.get) if entries else "striped"
-        if start_name == "branched":
-            start = branched_candidate(p, 1)
-        else:
-            start = striped_candidate(p, stations=16)
-        e_relaxed = entries["relaxed"] = _descend(start, relax_opts, None)[1].sweep_totals[-1]
-    best = min(entries.values())
-    winners = [name for name, v in entries.items() if v == best]
+        start = branched_candidate(p, 1) if start_name == "branched" else striped_candidate(p, 16)
+        end, run = _descend(start, relax_opts, None)
+        e_relaxed, bound = run.sweep_totals[-1], _relaxed_bound(end, run.sweep_totals[-1])
+        # relax refines its start: a candidate of its own only where it gains beyond both bounds
+        gain = _order(e_relaxed - run.initial, bound + _relaxed_bound(start, run.initial))
+        entries.setdefault("relaxed" if gain < 0 else start_name, (e_relaxed, bound))
+    best, slack = min(entries.values())
+    winners = [name for name, (v, b) in entries.items() if _order(v - best, b + slack) == 0]
     winner = winners[0] if len(winners) == 1 else "degenerate"
     return SweepRow(beta, epsilon, p.sigma(), e_striped, e_branched, e_relaxed, winner, m_star)
 
@@ -891,9 +890,10 @@ def phase_sweep(
     branched column reports the exact minimum of the closed-form
     branched energy over 1 <= levels <= levels_max and every admissible
     even m0, so it always has at least one doubling band and the striped
-    and branched columns stay distinct candidates; exact ties are
-    reported as "degenerate".  Only the relaxed column builds a branched
-    layout, as its starting state.
+    and branched columns stay distinct candidates.  A tie for the least
+    energy, a margin inside the summed rounding bounds, reads "degenerate".
+    Only the relaxed column builds a layout, as its start, and it wins
+    only below that start by more than both bounds.
     """
     if not isinstance(levels_max, (int, np.integer)) or levels_max < 1:
         raise InvariantError(f"levels_max must be an integer >= 1, got {levels_max!r}")

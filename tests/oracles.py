@@ -8,6 +8,7 @@ force enumeration.  Tests compare the library against these.
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -116,12 +117,16 @@ C0_EXACT = float(14 * mp.zeta(3) / mp.pi**2)  # cell constant 14 zeta(3)/pi^2
 
 
 def brute_force_even_m(beta, epsilon, L, h, c0, m_max=1000):
-    """Exhaustive minimizer of beta c0 h^2 / M + epsilon L M over even M."""
-    ms = np.arange(2, m_max + 1, 2)
-    vals = beta * c0 * h * h / ms + epsilon * L * ms
-    best = vals.min()
-    winners = ms[vals <= best * (1 + 1e-12)]
-    return list(int(m) for m in winners), float(best)
+    """Exhaustive minimizer of beta c0 h^2 / M + epsilon L M over even M.
+
+    Decided in exact rationals of the float inputs, so a tie is an exact
+    equality; the energy is returned rounded to a float.
+    """
+    a = Fraction(beta) * Fraction(c0) * Fraction(h) ** 2
+    b = Fraction(epsilon) * Fraction(L)
+    vals = {m: a / m + b * m for m in range(2, m_max + 1, 2)}
+    best = min(vals.values())
+    return [m for m, v in vals.items() if v == best], float(best)
 
 
 def quad_screened_energy(cells, alpha: float, nodes_per_cell: int = 400) -> float:
@@ -485,7 +490,7 @@ def striped_breakdown(params: ModelParams) -> EnergyBreakdown:
     """Closed-form energy of the striped candidate: no strain, equal gaps."""
     m = optimal_even_m(params).m_star[0]
     h, L = params.height_h, params.length_L
-    return EnergyBreakdown.from_parts(
+    return EnergyBreakdown(
         params.beta * C0 * h * h / m, 0.0, params.epsilon * L * m
     )
 

@@ -385,6 +385,12 @@ def test_library_tunable_surface_is_pinned():
     assert flags + sum(len(names) for names in LIBRARY_TUNABLES.values()) == 66
 
 
+def test_library_line_count_is_capped():
+    # ROADMAP's cap on the library's size: the lines of src/twinstripe/*.py, as wc -l counts them
+    files = Path(twinstripe.__file__).parent.glob("*.py")
+    assert sum(p.read_bytes().count(b"\n") for p in files) <= 3662
+
+
 def test_cutoff_flag_is_gone(tmp_path, capsys):
     path, _ = write_striped(tmp_path, stations=3)
     for argv in (

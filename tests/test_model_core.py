@@ -491,15 +491,15 @@ def test_json_numbers_fast_path_keeps_the_checked_values_and_messages():
 
 
 def test_energy_breakdown_consistency():
-    b = EnergyBreakdown.from_parts(1.0, 2.0, 3.0)
+    b = EnergyBreakdown(1.0, 2.0, 3.0)
     assert b.total == 6.0
-    with pytest.raises(InvariantError):
-        EnergyBreakdown(1.0, 2.0, 3.0, 6.5)
+    assert b.to_json() == {"austenite": 1.0, "strain": 2.0, "surface": 3.0, "total": 6.0}
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(InvariantError, match="strain"):
-            EnergyBreakdown.from_parts(1.0, bad, 3.0)
-        with pytest.raises(InvariantError, match="total"):
-            EnergyBreakdown(1.0, 2.0, 3.0, bad)
+            EnergyBreakdown(1.0, bad, 3.0)
+    # finite parts whose sum overflows
+    with pytest.raises(InvariantError, match="total"):
+        EnergyBreakdown(1e308, 1e308, 0.0)
 
 
 def test_configuration_rejects_non_finite_stations():

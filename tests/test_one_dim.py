@@ -1,12 +1,15 @@
 """Tests for the exact striped (x-independent) theory."""
 
+import json
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
 from twinstripe import energy, model_core, one_dim
+from twinstripe.cli import main
 from twinstripe.model_core import InvariantError, ModelParams
 
 import oracles
@@ -69,6 +72,18 @@ def test_optimal_even_m_reports_exact_ties():
     params = ModelParams(beta=1.0, epsilon=eps, length_L=1.0, height_h=1.0)
     res = one_dim.optimal_even_m(params)
     assert res.m_star == (2, 4)
+
+
+def test_optimal_even_m_separates_counts_below_energy_rounding(capsys):
+    # at m ~ 1.3e10 neighbouring energies differ by ~1e-20 relative, below
+    # eps, while the margin beta c0 h^2 / (eps L) - m (m + 2) is 4e-11 of it
+    params = ModelParams(beta=1.0, epsilon=1e-20, length_L=1.0, height_h=1.0)
+    m = 13057999828
+    ratio = Fraction(one_dim.C0) / Fraction(1e-20)  # exact, of the float inputs
+    assert (m - 2) * m < ratio < m * (m + 2)
+    assert one_dim.optimal_even_m(params).m_star == (m,)
+    assert main(["optimal-stripes", "--beta", "1", "--epsilon", "1e-20"]) == 0
+    assert json.loads(capsys.readouterr().out)["m_star"] == [m]
 
 
 def test_make_w_m_basic_shape():
