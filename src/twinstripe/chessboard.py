@@ -15,9 +15,10 @@ per-span bound c0 * span^2 that underlies the striped theory: the
 alpha-integrated mismatch of a profile is its half-norm h_half_sq, and
 that of a linear span from va to vb is c0 (vb - va)^2.
 
-Everything here is piecewise linear, so every kernel integral reduces
-to a closed form per cell pair.  Segments are held as arrays (_table);
-cells of segments laid end to end come from cumulative sums (_lines).
+Everything here is piecewise linear, so a screened energy is a finite
+sum of closed forms over its cells and cell pairs.  Segments are held as
+arrays (_table); cells of segments laid end to end come from cumulative
+sums (_lines).
 A family's layout gives its groups of cells and a finish that turns
 their priced rows into (lhs, rhs).  _evaluate prices the groups of any
 number of layouts in one call per kernel, the screened energy and the
@@ -233,50 +234,28 @@ def _screened_groups(cells: np.ndarray, starts, alphas: np.ndarray, tables=None)
     """Screened energies of many cell collections at once, shape (G, A).
 
     Group g holds the rows starts[g] up to starts[g + 1] of cells, in any
-    order.  tables, if given, are _cell_tables(cells, alphas) with the
-    cells in given order.  The cross terms follow the carry recurrence
-    left to right; one step advances the groups still running, longest
-    first, at every alpha, so the loop runs over positions up to the
-    longest group, never over groups, and holds at most one column per cell.
-    The diagonal terms are summed left to right in the same loop.
+    order.  tables, if given, are _cell_tables(cells, alphas).  A group's
+    energy is -(sum of its I + 2 * sum over its cell pairs of the left
+    cell's L times the right cell's R times exp(-alpha * gap)), each sum
+    one _group_sums call, so the largest array is (alphas x pairs).
     """
     starts = np.asarray(starts, dtype=np.intp)
     n = cells.shape[0]
-    lengths = np.diff(starts, append=n)
-    first = np.zeros(n, dtype=bool)
-    first[starts] = True
-    inner = ~first[1:]  # cell i + 1 follows cell i in the same group
-    a = cells[:, 0]
-    if np.any(inner & (a[1:] < a[:-1])):
-        order = np.lexsort((a, np.repeat(np.arange(starts.size), lengths)))
-        cells = cells[order]
-        a = cells[:, 0]
-        if tables is not None:
-            tables = tuple(t[:, order] for t in tables)
-    b = cells[:, 1]
-    if np.any(inner & (a[1:] - b[:-1] < -_OVERLAP_TOL)):
+    sizes = np.diff(starts, append=n)
+    after = np.repeat(starts + sizes, sizes) - np.arange(n) - 1  # rows after each row in its group
+    # each pair of a group once: first runs over the rows, second over the rows after it
+    first = np.repeat(np.arange(n), after)
+    second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(after) - after, after)
+    a, b = cells[:, 0], cells[:, 1]
+    swap = a[second] < a[first]
+    left, right = np.where(swap, second, first), np.where(swap, first, second)
+    gap = a[right] - b[left]
+    if not np.all(gap >= -_OVERLAP_TOL):
         raise InvariantError("cells must not overlap")
-    if tables is None:
-        tables = _cell_tables(cells, alphas)
-    L, R, diag = tables
-    al = alphas[:, None]
-    decay = np.exp(-al * np.maximum(a[1:] - a[:-1], 0.0))
-    feed = L[:, :-1] * np.exp(-al * np.maximum(a[1:] - b[:-1], 0.0))
-    # step j feeds cell j of each group into its cell j + 1; with groups
-    # ranked longest first, the first live[j] are those still running
-    rank = np.argsort(-lengths, kind="stable")
-    live = np.searchsorted(1 - lengths[rank], -np.arange(lengths.max() - 1))
-    offsets = np.cumsum(live) - live
-    prev = starts[rank][np.arange(live.sum()) - np.repeat(offsets, live)]
-    prev += np.repeat(np.arange(live.size), live)
-    decay_at, feed_at, right_at = decay[:, prev], feed[:, prev], R[:, prev + 1]
-    total, diag_at = diag[:, starts[rank]], diag[:, prev + 1]
-    carry, cross = np.zeros((2, alphas.size, starts.size))
-    for lo, k in zip(offsets, live):
-        carry[:, :k] = carry[:, :k] * decay_at[:, lo : lo + k] + feed_at[:, lo : lo + k]
-        cross[:, :k] += carry[:, :k] * right_at[:, lo : lo + k]
-        total[:, :k] += diag_at[:, lo : lo + k]
-    return -(total + 2.0 * cross)[:, np.argsort(rank)].T
+    L, R, diag = _cell_tables(cells, alphas) if tables is None else tables
+    cross = L[:, left] * R[:, right] * np.exp(-alphas[:, None] * np.maximum(gap, 0.0))
+    pairs = sizes * (sizes - 1) // 2
+    return -(_group_sums(diag, starts) + 2.0 * _group_sums(cross, np.cumsum(pairs) - pairs)).T
 
 
 def _check_alphas(alphas) -> np.ndarray:
@@ -297,8 +276,8 @@ def screened_energy(w, alpha: float) -> float:
     al = _check_alphas(alpha)
     cells = w.cells() if isinstance(w, Segment) else np.asarray(w, dtype=float)
     bad = cells.ndim != 2 or cells.shape[1] != 4 or not len(cells)
-    if bad or np.any(cells[:, 1] <= cells[:, 0]):
-        raise InvariantError("cells must be a nonempty (n, 4) array of positive width")
+    if bad or not np.all(np.isfinite(cells)) or np.any(cells[:, 1] <= cells[:, 0]):
+        raise InvariantError("cells must be a nonempty (n, 4) finite array of positive width")
     return float(_screened_groups(cells, [0], al)[0, 0])
 
 
@@ -484,12 +463,8 @@ def check_chessboard_bound(seq, alpha: float) -> ChessboardReport:
     )
 
 
-def _anchor_at_corner(profile: SawtoothProfile) -> SawtoothProfile:
-    return profile if profile.corners[0] == 0.0 else profile.translated(-profile.corners[0])
-
-
 def _profile_mismatch(profiles) -> tuple:
-    """Parts and finish of screened_mismatch per corner-anchored profile, (C, A)."""
+    """Parts and finish of screened_mismatch per profile, (C, A)."""
     nodes = (prof.nodes() for prof in profiles)
     blocks = [np.column_stack([y[:-1], y[1:], v[:-1], v[1:]]) for y, v in nodes]
     cells, starts = np.vstack(blocks), _group_starts(blocks)
@@ -509,7 +484,7 @@ def _span_mismatch(va, vb, width) -> tuple:
 
 
 def _spans(profile: SawtoothProfile) -> tuple:
-    """Start values, end values and widths of the spans of an anchored profile."""
+    """Start values, end values and widths of a profile's spans, cyclic from its first corner."""
     cv = profile.corner_values()
     return cv, np.roll(cv, -1), profile._gaps()
 
@@ -520,11 +495,11 @@ def screened_mismatch(profile: SawtoothProfile, alphas) -> np.ndarray:
     Equals int_0^h dy int_R dy' |u(y) - u_per(y')|^2 exp(-alpha|y-y'|),
     evaluated as 4/alpha * ||u||^2 - 2 * (periodic cross energy).
     """
-    return _evaluate([_profile_mismatch([_anchor_at_corner(profile)])], _check_alphas(alphas))[0][0]
+    return _evaluate([_profile_mismatch([profile])], _check_alphas(alphas))[0][0]
 
 
 def _master_layout(profiles) -> tuple:
-    """Parts and finish of the master inequality per anchored profile: the
+    """Parts and finish of the master inequality per profile: the
     whole-profile mismatch and its span mismatches added left to right, each (C, A)."""
     whole, whole_finish = _profile_mismatch(profiles)
     spans = [_spans(prof) for prof in profiles]
@@ -555,9 +530,8 @@ def check_master_inequality(profile: SawtoothProfile, alphas=(0.1, 1.0, 10.0)) -
     one_dim.lower_bound_decomposition.
     """
     al = _check_alphas(alphas)
-    prof = _anchor_at_corner(profile)
-    lhs, rhs = (x[0] for x in _evaluate([_master_layout([prof])], al)[0])
-    va, vb, gaps = _spans(prof)
+    lhs, rhs = (x[0] for x in _evaluate([_master_layout([profile])], al)[0])
+    va, vb, gaps = _spans(profile)
     slack = lhs - rhs
     scale = max(1.0, float(np.max(np.abs(lhs))))
     int_lhs, int_rhs = h_half_sq(profile), C0 * float(np.sum((vb - va) ** 2))
@@ -593,9 +567,10 @@ def verify_suite(trials: int = 100, seed: int = 0, alphas=(0.1, 1.0, 10.0)) -> d
     check_chessboard_bound and check_master_inequality called case by
     case and alpha by alpha.  The cases, drawn family by family, are
     priced in blocks that span families, one call per grouped kernel per
-    block (_evaluate).  Each (cells x alphas) array of a block stays within
-    _BLOCK_ENTRIES unless one case exceeds it, so peak RSS is bounded in
-    `trials`: about 62 MB at 1,000 trials, 78 MB at 4,000, 85 MB at 40,000.
+    block (_evaluate).  A case of at most n cells has fewer than n**2 / 2
+    cell pairs, so each (alphas x pairs) array of a block stays within
+    _BLOCK_ENTRIES unless one case exceeds it, and peak RSS is bounded in
+    `trials`: about 42 MB at 1,000 trials, 42 MB at 4,000, 43 MB at 40,000.
     """
     if not isinstance(trials, (int, np.integer)) or trials < 1:
         raise InvariantError(f"trials: must be a positive integer, got {trials!r}")
@@ -610,12 +585,12 @@ def verify_suite(trials: int = 100, seed: int = 0, alphas=(0.1, 1.0, 10.0)) -> d
     def pieces(segs: list) -> int:
         return 3 * sum(len(w) for w, _ in segs)
 
-    # (name, draw one case, its cell count, lay out a block of cases)
+    # (name, draw one case, a bound on its cells, lay out a block of cases)
     families = (
         ("rp", lambda: (segments(1, 4), segments(1, 4)),
          lambda case: pieces(case[0] + case[1]), _rp_layout),
         ("chessboard", lambda: segments(2, 7), pieces, _chessboard_layout),
-        ("master", lambda: _anchor_at_corner(random_profile(rng, 1.0)),
+        ("master", lambda: random_profile(rng, 1.0),
          lambda prof: 3 * len(prof.corners), _master_layout),
     )
     slacks, block, entries = [[] for _ in families], [[] for _ in families], 0
@@ -628,7 +603,7 @@ def verify_suite(trials: int = 100, seed: int = 0, alphas=(0.1, 1.0, 10.0)) -> d
     for f, (_, draw, size, _) in enumerate(families):
         for _ in range(trials):
             case = draw()
-            n = size(case) * al.size
+            n = size(case) ** 2 // 2 * al.size
             if entries and entries + n > _BLOCK_ENTRIES:
                 price(block)
                 block, entries = [[] for _ in families], 0

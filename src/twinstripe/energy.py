@@ -61,8 +61,8 @@ def h_half_sq_fourier(profile: SawtoothProfile, cutoff: int = DEFAULT_CUTOFF) ->
 # Most entries in one array of a blocked evaluation: (points x modes) of a
 # mode sum, 4 MB complex, or (corners x corners) of a pair sum, 2 MB real.
 # It bounds each array, not the working set: an evaluation may hold
-# several such arrays at once (chessboard._cell_tables makes about 20 per
-# verify_suite block, so a large suite plateaus near 85 MB peak RSS).
+# several such arrays at once (a verify_suite block holds a few (alphas x
+# cell pairs) arrays, so a large suite plateaus near 43 MB peak RSS).
 _BLOCK_ENTRIES = 2**18
 
 # zeta(2n) / (n (2n+1) (2n+2)) for n = 30..1, then 0: the power series

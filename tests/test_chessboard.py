@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,6 +117,14 @@ def test_screened_energy_rejects_bad_input():
     for bad in ([[0.0, 0.0, 1.0, 1.0]], [[0.0, 1.0, 1.0]], np.zeros((0, 4))):
         with pytest.raises(InvariantError):
             cb.screened_energy(bad, 1.0)
+    # a non-finite end, width or value in any column, alone or next to a good cell
+    for column in range(4):
+        for x in (math.nan, math.inf, -math.inf):
+            cell = [0.0, 1.0, 0.5, -0.5]
+            cell[column] = x
+            for cells in ([cell], [[2.0, 3.0, 1.0, 1.0], cell]):
+                with pytest.raises(InvariantError, match="cells"):
+                    cb.screened_energy(cells, 1.0)
 
 
 def test_e_infinity_matches_explicit_chain():
@@ -268,11 +277,23 @@ def test_master_equality_for_equispaced_profile():
         assert rep.integrated_rhs == pytest.approx(rep.c0_quadratic, rel=1e-12)
         assert rep.integrated_lhs == pytest.approx(rep.c0_quadratic, rel=1e-12)
         # the alpha quadrature of the screened mismatches reproduces both
-        spans = zip(*cb._spans(cb._anchor_at_corner(prof)))
+        spans = zip(*cb._spans(prof))
         bumps = sum(oracles.bump_alpha_energy(*span) for span in spans)
         assert bumps == pytest.approx(rep.c0_quadratic, rel=1e-6)
         whole = oracles.profile_alpha_energy(prof)
         assert whole >= bumps - 1e-6 * max(1.0, abs(whole))
+
+
+def test_master_inequality_is_translation_invariant():
+    # both sides are priced as drawn: a profile and its copy anchored at
+    # its first corner agree to rounding
+    rng = np.random.default_rng(37)
+    for _ in range(40):
+        prof = model_core.random_profile(rng, 1.0)
+        got = cb.check_master_inequality(prof)
+        want = cb.check_master_inequality(prof.translated(-prof.corners[0]))
+        np.testing.assert_allclose(got.lhs, want.lhs, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(got.rhs, want.rhs, rtol=1e-13, atol=0.0)
 
 
 def test_master_inequality_random_profiles():
@@ -430,6 +451,20 @@ def test_verify_suite_block_makes_one_call_per_kernel(monkeypatch):
     monkeypatch.setattr(cb, "_BLOCK_ENTRIES", 1)
     cb.verify_suite(trials=2, seed=0)
     assert calls.count("screened") == 4 and calls.count("periodic") == 4
+
+
+def test_verify_suite_memory_follows_the_pair_budget(monkeypatch):
+    """Blocks are sized by their cell pairs, so traced memory scales with
+    _BLOCK_ENTRIES: under 16 MB at the default and 2,000 trials, here an
+    eighth of both.  Blocks sized by cells would hold about 5x as much."""
+    monkeypatch.setattr(cb, "_BLOCK_ENTRIES", 2**15)
+    tracemalloc.start()
+    try:
+        cb.verify_suite(trials=250, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20 // 8
 
 
 def test_verify_suite_rejects_a_negative_seed():
