@@ -101,6 +101,9 @@ def _cmd_energy(args: argparse.Namespace) -> int:
 
 def _cmd_optimal_stripes(args: argparse.Namespace) -> int:
     result = optimal_even_m(_params_from_args(args))
+    if result.m_continuous >= 2.0**53:  # a float no longer fixes its even neighbours
+        raise InvariantError("--beta, --epsilon, --length, --height: interface count "
+                             f"{result.m_continuous!r} is past 2^53, where m_star is not exact")
     payload = {
         "m_star": list(result.m_star),
         "e_star": result.energy,

@@ -6,11 +6,13 @@ Hilbert transform: the half-norm pairing equals the L2 pairing of H w'
 against u0 - w, which can be split over a partition {I_k} of the period
 built from the corners of the far trace u1.  Each interval carries a
 local energy F_k (a gap-spread share, a strain share, and an
-excess-interface share) and a local error H_k^{1/2} ||u0 - w||_{L2(I_k)}
-whose prefactor is controlled by the BMO seminorm of H w'.  If the sum
-of F_k minus the measured error terms is positive, the candidate cannot
-beat the striped minimizer: that sum is the certificate quantity
-reported here.
+excess-interface share) and a local error H_k^{1/2} ||u0 - w||_{L2(I_k)}.
+The paper bounds the pairing by the BMO seminorm of H w' times that
+error; here each pairing is exact and charged through its measured
+constant cbar, and no H w' is sampled (hilbert_slope_exact and
+bmo_seminorm remain as library checks).  If the sum of F_k minus the
+charged error terms is positive, the candidate cannot beat the striped
+minimizer: that sum is the certificate quantity reported here.
 
 Window conventions are chosen so the local terms recompose exactly:
 the three-interval strain windows cover each interval three times
@@ -66,12 +68,10 @@ __all__ = [
 DEFAULT_ETA = 1e-3
 DEFAULT_KAPPA = 0.1
 
-# BMO search family: H w' sampled at BMO_SAMPLES points per interval,
-# dyadic widths down to BMO_MIN_FRAC of the window, each width slid
-# across BMO_OFFSETS start offsets.
+# BMO search family: dyadic widths down to BMO_MIN_FRAC of the window,
+# each width slid across BMO_OFFSETS start offsets.
 BMO_MIN_FRAC = 1.0 / 256.0
 BMO_OFFSETS = 64
-BMO_SAMPLES = 2048
 
 # An interval whose mismatch ||u0 - w||_{L2(I_k)} is at most this (unit
 # period, O(1) values) is matched: its err is rounding noise, so the
@@ -80,8 +80,8 @@ BMO_SAMPLES = 2048
 # below 1e-14 and genuine ones above 1e-4.
 MATCH_FLOOR = 1e-12
 
-# Most entries in one (points x corners) block of a corner-kernel sum, 256 KB;
-# chosen by timing certify's samples of H w' at m = 4-14 and at m = 412.
+# Most entries in one (points x corners) block of a corner-kernel sum, 256 KB,
+# timed on samples of H w'; it also blocks the pairings, whose bits it can move.
 _KERNEL_BLOCK_ENTRIES = 2**15
 
 
@@ -442,11 +442,10 @@ class LocalTerms:
 
 @dataclass(frozen=True)
 class ErrorTerms:
-    """Per-interval mismatch data for the localized error bound."""
+    """Per-interval mismatch data for the localized error bound, with no sampled H w'."""
 
     index: int
     err: float  # H_k^{1/2} ||u0 - w||_{L2(I_k)}
-    bmo: float  # measured oscillation seminorm of H w' on I_k
     pairing: float  # integral of H w' (u0 - w) over I_k
     cbar: float  # 2 |pairing| / err, the measured chain constant
 
@@ -480,14 +479,15 @@ def _strain_per_interval(config: Configuration, part: IntervalPartition) -> np.n
 def _window_counts(
     profile: SawtoothProfile, h: float, lo: np.ndarray, span: np.ndarray, full: np.ndarray
 ) -> np.ndarray:
-    """Corners of profile in each interval's star window, all (K, 3) pieces in one comparison.
+    """Corners of profile in each interval's star window, all (K, 3) pieces in one search.
 
-    A piece [lo, lo + span) holds the corners c with mod(c - lo, h) <
-    span, or all of them when it spans a full period.
+    A piece [lo, lo + span) holds the corners c or c + h in [a, a + span),
+    a = mod(lo, h), or all of them when it spans a full period.
     """
     c = np.asarray(profile.corners)
-    inside = np.count_nonzero(np.mod(c - lo[..., None], h) < span[..., None], axis=-1)
-    return np.where(full, len(c), inside).sum(axis=-1).astype(float)
+    a = np.mod(lo, h)
+    ends = np.searchsorted(np.concatenate((c, c + h)), np.stack((a, a + span)))
+    return np.where(full, len(c), ends[1] - ends[0]).sum(axis=-1).astype(float)
 
 
 def _interface_excess_per_interval(
@@ -655,15 +655,13 @@ def local_error_terms(
     w: ComparisonProfile,
     part: IntervalPartition,
 ) -> list[ErrorTerms]:
-    """Per-interval mismatch H_k^{1/2} ||u0 - w||, oscillation, pairing.
+    """Per-interval mismatch H_k^{1/2} ||u0 - w||, pairing and cbar.
 
-    The pairing integral of H w' (u0 - w) is exact; the oscillation
-    samples the log form of H w'.  The reported cbar is the measured
-    constant of the chain |2 pairing| <= cbar * H^{1/2} ||u0 - w||, zero
-    on matched intervals (mismatch at most MATCH_FLOOR).  All K
-    mismatches and pairings come from one merged grid of u0 and w, and
-    the K windows' samples of H w' come from one hilbert_slope_exact call
-    and are scanned in one bmo_seminorm call.
+    The pairing integral of H w' (u0 - w) is exact, so H w' is never
+    sampled.  The reported cbar is the measured constant of the chain
+    |2 pairing| <= cbar * H^{1/2} ||u0 - w||, zero on matched intervals
+    (mismatch at most MATCH_FLOOR).  All K mismatches and pairings come
+    from one merged grid of u0 and w.
     """
     return _error_terms(u0, w, part)[0]
 
@@ -676,13 +674,10 @@ def _error_terms(
     grid = _merged_grid(u0, wp, part)
     pairings = _interval_pairings(wp, u0, part, grid)
     dists = np.sqrt(_interval_l2_sq(u0, wp, part, grid))
-    # BMO_SAMPLES cell midpoints on each interval, all K windows in one call
-    cells = (np.arange(BMO_SAMPLES) + 0.5) * (part.widths / BMO_SAMPLES)[:, None]
-    bmos = bmo_seminorm(hilbert_slope_exact(wp, part.boundaries[:-1, None] + cells))
     errs = np.sqrt(part.widths) * dists
     matched = dists <= MATCH_FLOOR
     cbars = np.divide(2.0 * np.abs(pairings), errs, out=np.zeros_like(errs), where=~matched)
-    rows = zip(errs.tolist(), bmos.tolist(), pairings.tolist(), cbars.tolist())
+    rows = zip(errs.tolist(), pairings.tolist(), cbars.tolist())
     return [ErrorTerms(k, *row) for k, row in enumerate(rows)], dists
 
 

@@ -43,6 +43,9 @@ from oracles import (
 
 UNIT = ModelParams(1.0, 1.0, 1.0, 1.0)
 
+# H w' samples per interval for the oscillation checks: cell midpoints
+BMO_SAMPLES = 2048
+
 
 def profile_from_gaps(rise_gaps, fall_gaps, period=1.0):
     """Sawtooth with a valley at 0 and alternating rise/fall gaps."""
@@ -746,8 +749,11 @@ def test_pairing_bounded_by_oscillation_times_mismatch():
         part = loc.build_partition(u1)
         cmp = loc.build_comparison(u0, part)
         errors = loc.local_error_terms(u0, cmp, part)
-        for e in errors:
-            assert abs(e.pairing) <= e.bmo * e.err * 1.05 + 1e-12
+        cells = (np.arange(BMO_SAMPLES) + 0.5) * (part.widths / BMO_SAMPLES)[:, None]
+        samples = loc.hilbert_slope_exact(cmp.profile, part.boundaries[:-1, None] + cells)
+        bmos = loc.bmo_seminorm(samples)
+        for e, bmo in zip(errors, bmos):
+            assert abs(e.pairing) <= bmo * e.err * 1.05 + 1e-12
 
 
 # -- certificate ---------------------------------------------------------------
@@ -874,19 +880,31 @@ def test_certificate_prices_the_comparison_mismatch_once(monkeypatch):
     assert report.interpolation_ratios == want
 
 
-def test_certificate_samples_all_windows_in_one_call(monkeypatch):
+def test_certificate_samples_no_hilbert_slope(monkeypatch):
+    # the exact pairings and cbar decide the verdict; no sampled oscillation is read
     calls = []
-    sample = loc.hilbert_slope_exact
-
-    def counting_sample(profile, y):
-        calls.append(np.shape(y))
-        return sample(profile, y)
-
-    monkeypatch.setattr(loc, "hilbert_slope_exact", counting_sample)
+    for name in ("hilbert_slope_exact", "bmo_seminorm"):
+        monkeypatch.setattr(loc, name, lambda *args, name=name: calls.append(name))
     rng = np.random.default_rng(5)
     config = two_station_config(random_profile(rng, 1.0, 3), random_profile(rng, 1.0, 4), 0.5, 0.1)
     report = loc.certificate_check(config)
-    assert calls == [(len(report.errors), loc.BMO_SAMPLES)]
+    assert math.isfinite(report.excess) and len(report.errors) == 4
+    assert calls == []
+
+
+def test_certify_json_interval_keys(tmp_path):
+    from twinstripe import cli
+
+    rng = np.random.default_rng(5)
+    config = two_station_config(random_profile(rng, 1.0, 3), random_profile(rng, 1.0, 4), 0.5, 0.1)
+    path = tmp_path / "config.json"
+    path.write_text(config.dumps(), encoding="utf-8")
+    assert cli.main(["certify", "--config", str(path), "--output", str(tmp_path / "out.json")]) == 0
+    intervals = json.loads((tmp_path / "out.json").read_text(encoding="utf-8"))["intervals"]
+    keys = ["index", "interval", "width", "f0", "f1", "f2", "total", "type",
+            "err", "pairing", "cbar", "interpolation_ratio"]
+    assert len(intervals) == 4
+    assert all(list(entry) == keys for entry in intervals)
 
 
 def test_certificate_makes_no_windowed_l2_calls(monkeypatch):
@@ -929,6 +947,35 @@ def test_star_window_counts_match_per_piece_loop():
     got = loc._interface_excess_per_interval(config, part, 1.0)
     assert np.array_equal(got, star_excess_reference(config, part, 1.0))
     assert np.array_equal(got, 0.5 * (np.array([8.0, 8.0]) - 4.0))
+
+
+def test_star_window_counts_are_half_open_across_the_period_end():
+    eighths = SawtoothProfile(1.0, 0.0, -1, tuple(np.arange(8) / 8.0))
+    # pieces [lo, lo + span): past the period end, from below 0, empty,
+    # one period up, and a full period
+    lo = np.array([[0.875], [-0.125], [0.25], [1.25], [0.3]])
+    span = np.array([[0.25], [0.25], [0.0], [0.125], [1.0]])
+    full = span >= 1.0 * (1 - 1e-12)
+    got = loc._window_counts(eighths, 1.0, lo, span, full)
+    assert np.array_equal(got, [2.0, 2.0, 0.0, 1.0, 8.0])
+
+
+def test_star_window_counts_memory_bounded_in_corner_count():
+    # measured peaks at m = 1,000 (500 intervals): 0.17 MB searching the
+    # sorted corners; 24 MB for a (K, 3, m) comparison of every corner
+    # with every piece
+    w = make_w_m(1000, UNIT)
+    config = Configuration(UNIT, (0.0, 1.0), (w, w))
+    part = loc.build_partition(w)
+    loc._interface_excess_per_interval(config, part, 1.0)  # builds the partition's cached arrays
+    tracemalloc.start()
+    try:
+        got = loc._interface_excess_per_interval(config, part, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, star_excess_reference(config, part, 1.0))
+    assert peak < 1_000_000
 
 
 def test_normalization_preserves_energy_up_to_scale():
